@@ -8,8 +8,8 @@ PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 ## Print the entry points (tier-1 invocation included).
 help:
 	@echo "Targets:"
-	@echo "  make test          tier-1 verification: PYTHONPATH=src python -m pytest tests/ -x -q"
-	@echo "                     (includes the crash-recovery chaos suite)"
+	@echo "  make test          tier-1 verification: PYTHONPATH=src python -m pytest -x -q"
+	@echo "                     (tests/ with the chaos suite, plus the perfbench smoke tests)"
 	@echo "  make test-fast     quick subset: tables + parity + EM layer"
 	@echo "  make chaos-test    crash-point matrix only: journal/recovery/fault-injection"
 	@echo "  make overload-test open-loop traffic + admission/shedding/breaker invariants"
@@ -23,9 +23,10 @@ help:
 	@echo "  make plots         regenerate every plots/*.dat from the checked-in BENCH_*.json"
 	@echo "  make clean         remove caches"
 
-## Tier-1 verification: the full unit/property suite (chaos included).
+## Tier-1 verification: the full unit/property suite (chaos included)
+## plus the perfbench smoke tests — the same command ROADMAP.md names.
 test:
-	$(PY) -m pytest tests/ -x -q
+	$(PY) -m pytest -x -q
 
 ## Quick subset for inner-loop development (tables + parity + EM layer,
 ## buffer-pool unit tests, the cached-vs-uncached relabelling contract,

@@ -6,7 +6,8 @@ Public surface:
   :func:`~repro.em.storage.make_context` — model parameters and shared context.
 * :class:`~repro.em.disk.Disk`, :class:`~repro.em.block.Block` — storage.
 * :class:`~repro.em.iostats.IOStats`, :class:`~repro.em.iostats.IOPolicy` —
-  the I/O complexity measure.
+  the I/O complexity measure; :class:`~repro.em.iostats.Ledger` is the
+  counter bookkeeping every ledger type shares.
 * :class:`~repro.em.memory.MemoryBudget` — the ``m``-word memory.
 * :class:`~repro.em.cache.BufferPool`, :class:`~repro.em.cache.CachedDisk`
   — the caching policy axis (``cache_blocks=`` on :func:`make_context`).
@@ -35,7 +36,7 @@ from .errors import (
     SimulatedCrash,
     StorageFault,
 )
-from .iostats import IOPolicy, IOSnapshot, IOStats, PAPER_POLICY, STRICT_POLICY
+from .iostats import IOPolicy, IOSnapshot, IOStats, Ledger, PAPER_POLICY, STRICT_POLICY
 from .memory import MemoryBudget
 from .storage import EMContext, ModelParams, make_context
 
@@ -63,6 +64,7 @@ __all__ = [
     "IOPolicy",
     "IOSnapshot",
     "IOStats",
+    "Ledger",
     "PAPER_POLICY",
     "STRICT_POLICY",
     "MemoryBudget",

@@ -51,12 +51,12 @@ from typing import Callable
 from .block import Block
 from .disk import Disk
 from .errors import ConfigurationError, InvalidBlockError
-from .iostats import IOStats
+from .iostats import IOStats, Ledger
 from .memory import MemoryBudget
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Ledger):
     """Hit/miss/writeback counters for a :class:`BufferPool`.
 
     ``negative_hits`` counts lookups answered by a Bloom filter acting
@@ -71,6 +71,9 @@ class CacheStats:
     writebacks: int = 0
     evictions: int = 0
 
+    FIELDS = ("hits", "misses", "negative_hits", "writebacks", "evictions")
+    METRICS = {name: f"repro_cache_{name}_total" for name in FIELDS}
+
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
@@ -78,51 +81,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    # -- checkpointing (mirrors IOStats.snapshot/delta_since/absorb) --------
-
-    def snapshot(self) -> "CacheStats":
-        """Capture the current counter values."""
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            negative_hits=self.negative_hits,
-            writebacks=self.writebacks,
-            evictions=self.evictions,
-        )
-
-    def delta_since(self, snap: "CacheStats") -> "CacheStats":
-        """Counters accumulated since ``snap`` was taken."""
-        return CacheStats(
-            hits=self.hits - snap.hits,
-            misses=self.misses - snap.misses,
-            negative_hits=self.negative_hits - snap.negative_hits,
-            writebacks=self.writebacks - snap.writebacks,
-            evictions=self.evictions - snap.evictions,
-        )
-
-    def absorb(self, delta: "CacheStats") -> None:
-        """Fold another pool's counter delta into this one.
-
-        Used by the service layer to merge per-shard cache ledgers into
-        a cluster total at epoch close; pure counter addition, so the
-        merged result is independent of shard execution order.
-        """
-        self.hits += delta.hits
-        self.misses += delta.misses
-        self.negative_hits += delta.negative_hits
-        self.writebacks += delta.writebacks
-        self.evictions += delta.evictions
-
-    def as_dict(self) -> dict:
-        """Plain-dict counter view (trace spans, metrics folding)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "negative_hits": self.negative_hits,
-            "writebacks": self.writebacks,
-            "evictions": self.evictions,
-        }
 
 
 class BufferPool:

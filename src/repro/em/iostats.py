@@ -12,13 +12,16 @@ quantify its effect.
 and everything layered above it.  It supports cheap checkpointing
 (:meth:`IOStats.snapshot` / :meth:`IOStats.delta_since`) so drivers can
 attribute I/Os to individual operations without resetting global state.
+That bookkeeping is written once, in :class:`Ledger`, for every counter
+type the repository merges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 import contextlib
+import operator
 
 
 @dataclass(frozen=True)
@@ -49,46 +52,106 @@ PAPER_POLICY = IOPolicy(combine_rmw=True, charge_allocation=True)
 STRICT_POLICY = IOPolicy(combine_rmw=False, charge_allocation=True)
 
 
+class Ledger:
+    """Counter bookkeeping written once, over a declared tuple of fields.
+
+    A subclass is a dataclass that lists its integer counters in
+    ``FIELDS`` and the metric series each one folds into in ``METRICS``.
+    ``FIELDS`` must be the leading dataclass fields, in order, of the
+    type :meth:`snapshot` builds — the class itself unless ``SNAPSHOT``
+    names another.  Checkpoints, deltas and merges are then the same
+    order-independent counter addition for every ledger: charged I/O,
+    buffer-pool hits, and the service's cluster ledger.
+    """
+
+    #: The counter attributes, in declaration order.
+    FIELDS: ClassVar[tuple[str, ...]] = ()
+    #: Metric series name per counter (see :meth:`fold_metrics`).
+    METRICS: ClassVar[dict[str, str]] = {}
+    #: Type :meth:`snapshot` returns (``None``: the class itself).
+    SNAPSHOT: ClassVar[type | None] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = operator.attrgetter(*cls.FIELDS)
+        cls._make = cls.SNAPSHOT or cls
+
+    @classmethod
+    def of(cls, source) -> "Ledger":
+        """A snapshot of this ledger's counters as carried by ``source``."""
+        return cls._make(*cls._values(source))
+
+    def values(self) -> tuple[int, ...]:
+        """The counter values, ``FIELDS`` order."""
+        return self._values(self)
+
+    def snapshot(self) -> "Ledger":
+        """Capture the current counter values."""
+        return self._make(*self._values(self))
+
+    def __sub__(self, other: "Ledger") -> "Ledger":
+        # A list, not a bare ``*map``: unpacking an iterator of unknown
+        # length leaves the collector's allocation count one higher per
+        # call, which shifts garbage collections into the epochs.
+        diff = list(map(operator.sub, self._values(self), self._values(other)))
+        return self._make(*diff)
+
+    def delta_since(self, snap: "Ledger") -> "Ledger":
+        """Counters accumulated since ``snap`` was taken."""
+        return self - snap
+
+    def absorb(self, delta: "Ledger") -> None:
+        """Fold another ledger's counter delta into this one.
+
+        Pure counter addition, so a cluster total merged from per-shard
+        deltas is independent of shard execution order.
+        """
+        for name, value in zip(self.FIELDS, self._values(delta)):
+            if value:
+                setattr(self, name, getattr(self, name) + value)
+
+    def as_dict(self) -> dict:
+        """Plain-dict counter view (trace spans, metrics folding)."""
+        return dict(zip(self.FIELDS, self._values(self)))
+
+    def fold_metrics(self, metrics) -> None:
+        """Add every counter to its ``METRICS`` series in ``metrics``."""
+        for name, value in zip(self.FIELDS, self._values(self)):
+            metrics.inc(self.METRICS[name], value)
+
+
 @dataclass
-class IOSnapshot:
+class IOSnapshot(Ledger):
     """Immutable view of counter values at a point in time."""
 
-    reads: int
-    writes: int
-    combined: int
-    allocations: int
+    reads: int = 0
+    writes: int = 0
+    combined: int = 0
+    allocations: int = 0
+
+    FIELDS = ("reads", "writes", "combined", "allocations")
+    METRICS = {name: f"repro_io_{name}_total" for name in FIELDS}
 
     @property
     def total(self) -> int:
         """Total charged I/Os (combined read-modify-writes already netted out)."""
         return self.reads + self.writes
 
-    def __sub__(self, other: "IOSnapshot") -> "IOSnapshot":
-        return IOSnapshot(
-            reads=self.reads - other.reads,
-            writes=self.writes - other.writes,
-            combined=self.combined - other.combined,
-            allocations=self.allocations - other.allocations,
-        )
-
-    def as_dict(self) -> dict:
-        """Plain-dict counter view (trace spans, metrics folding)."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "combined": self.combined,
-            "allocations": self.allocations,
-        }
-
 
 @dataclass
-class IOStats:
+class IOStats(Ledger):
     """Mutable I/O counters with checkpoint support.
 
     ``reads`` and ``writes`` count *charged* I/Os: when the policy
     combines read-modify-write pairs, the elided write increments
-    ``combined`` instead of ``writes``.
+    ``combined`` instead of ``writes``.  Checkpoints are
+    :class:`IOSnapshot` values; :meth:`~Ledger.absorb` deliberately leaves
+    the pending read-modify-write block alone — combining is a per-disk
+    (per-shard) affair and stays on the shard's own ledger.
     """
+
+    FIELDS = IOSnapshot.FIELDS
+    SNAPSHOT = IOSnapshot
 
     policy: IOPolicy = field(default_factory=lambda: PAPER_POLICY)
     reads: int = 0
@@ -144,21 +207,6 @@ class IOStats:
         """Forget the pending read so the next write is charged normally."""
         self._last_read_block = None
 
-    def absorb(self, delta: IOSnapshot) -> None:
-        """Fold another ledger's counter delta into this one.
-
-        Used by the service layer to merge per-shard ledgers into a
-        cluster total at epoch close: pure counter addition, so the
-        merged result is independent of shard execution order.  The
-        pending read-modify-write block is deliberately untouched — RMW
-        combining is a per-disk (per-shard) affair and stays on the
-        shard's own ledger.
-        """
-        self.reads += delta.reads
-        self.writes += delta.writes
-        self.combined += delta.combined
-        self.allocations += delta.allocations
-
     # -- reading back ------------------------------------------------------
 
     @property
@@ -171,14 +219,6 @@ class IOStats:
         """Total block transfers ignoring the read-modify-write netting."""
         return self.reads + self.writes + self.combined
 
-    def snapshot(self) -> IOSnapshot:
-        """Capture the current counter values."""
-        return IOSnapshot(self.reads, self.writes, self.combined, self.allocations)
-
-    def delta_since(self, snap: IOSnapshot) -> IOSnapshot:
-        """Counters accumulated since ``snap`` was taken."""
-        return self.snapshot() - snap
-
     @contextlib.contextmanager
     def measure(self) -> Iterator[IOSnapshot]:
         """Context manager yielding a snapshot that is updated in place on exit.
@@ -190,20 +230,14 @@ class IOStats:
         1
         """
         before = self.snapshot()
-        out = IOSnapshot(0, 0, 0, 0)
+        out = IOSnapshot()
         yield out
-        after = self.delta_since(before)
-        out.reads = after.reads
-        out.writes = after.writes
-        out.combined = after.combined
-        out.allocations = after.allocations
+        out.absorb(self.delta_since(before))
 
     def reset(self) -> None:
         """Zero every counter (policy is kept)."""
-        self.reads = 0
-        self.writes = 0
-        self.combined = 0
-        self.allocations = 0
+        for name in self.FIELDS:
+            setattr(self, name, 0)
         self._last_read_block = None
 
     def with_policy(self, **changes) -> "IOStats":

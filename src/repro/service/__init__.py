@@ -50,6 +50,7 @@ from .faults import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    BackendDecorator,
     ChaosReport,
     CrashPoint,
     CrashingJournal,
@@ -60,6 +61,7 @@ from .faults import (
     RetryPolicy,
     RetryingBackend,
     ShardBreakerBoard,
+    install_fault_stack,
     run_crash_matrix,
     run_overload_chaos,
 )
@@ -117,6 +119,7 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
+    "BackendDecorator",
     "ChaosReport",
     "CrashPoint",
     "CrashingJournal",
@@ -131,6 +134,7 @@ __all__ = [
     "RetryPolicy",
     "RetryingBackend",
     "ShardBreakerBoard",
+    "install_fault_stack",
     "recover",
     "restore_service",
     "run_crash_matrix",

@@ -50,7 +50,7 @@ from .admission import (
     AdmissionQueue,
 )
 from .epochs import conflict_bounds
-from .service import DictionaryService
+from .service import DictionaryService, ServiceLedger
 from .traffic import ArrivalProcess
 
 __all__ = ["ClientReport", "ClosedLoopClient", "OpenLoopClient"]
@@ -115,27 +115,25 @@ class _ServiceMarks:
     when they were added.
     """
 
-    cache: CacheStats
+    ledger: ServiceLedger
     shard_io: list[IOSnapshot]
-    migrated: int
 
     @classmethod
     def capture(cls, service: "DictionaryService") -> "_ServiceMarks":
         return cls(
-            cache=service.cache_snapshot(),
+            ledger=service.ledger.snapshot(),
             shard_io=service.shard_io_snapshots(),
-            migrated=service.migrated_slots,
         )
 
     def settle(self, service: "DictionaryService") -> dict:
         """The service-derived ``ClientReport`` fields for the run since
         :meth:`capture` — pass as ``**marks.settle(service)``."""
-        cache = service.cache_snapshot().delta_since(self.cache)
+        run = service.ledger.delta_since(self.ledger)
         return {
-            "hit_rate": cache.hit_rate,
-            "negative_hits": cache.negative_hits,
+            "hit_rate": CacheStats.of(run).hit_rate,
+            "negative_hits": run.negative_hits,
             "imbalance": _imbalance(self.shard_io, service.shard_io_snapshots()),
-            "migrated_slots": service.migrated_slots - self.migrated,
+            "migrated_slots": run.migrated_slots,
         }
 
 

@@ -1,7 +1,10 @@
 """Deterministic fault injection and the crash-recovery chaos harness.
 
 Three decorators over the storage/journal layers, all driven by seeded
-schedules so every failure is exactly reproducible:
+schedules so every failure is exactly reproducible.  The two backend
+decorators are thin subclasses of :class:`BackendDecorator`, which
+forwards the whole storage protocol through one hook, and
+:func:`install_fault_stack` puts them on a service's shard disks:
 
 * :class:`FaultInjectingBackend` — wraps any
   :class:`~repro.em.backends.StorageBackend`; raises
@@ -29,6 +32,7 @@ per-shard and cluster ledgers, sizes, and memory peaks.
 
 from __future__ import annotations
 
+import abc
 import contextlib
 import shutil
 import tempfile
@@ -40,7 +44,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..em.backends import StorageBackend
-from ..em.block import Block
 from ..em.errors import RetryExhausted, SimulatedCrash, StorageFault
 from .journal import EpochJournal
 from .recovery import recover, snapshot_service
@@ -50,6 +53,7 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
+    "BackendDecorator",
     "ChaosOutcome",
     "ChaosReport",
     "CrashPoint",
@@ -61,6 +65,7 @@ __all__ = [
     "RetryPolicy",
     "RetryingBackend",
     "ShardBreakerBoard",
+    "install_fault_stack",
     "run_crash_matrix",
     "run_overload_chaos",
 ]
@@ -134,21 +139,84 @@ class FaultSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Fault-injecting backend decorator
+# Backend decorators
 # ---------------------------------------------------------------------------
 
 
-class FaultInjectingBackend(StorageBackend):
-    """Injects scheduled faults into another backend's primitives.
+def _forwarder(name: str, kind: str | None):
+    """One protocol member: straight to ``inner``, or via the hook."""
+    if kind is None:
 
-    Read-faultable primitives: ``fetch``, ``records``, ``records_arr``,
-    ``contains_key``.  Write-faultable: ``commit``, ``append``,
-    ``replace``, ``drain``, ``remove_key``.  Metadata/lifecycle calls
-    (``create``, ``delete``, ``length`` ...) pass through untouched —
-    faults model the data path, not the allocator.
+        def forward(self, *args, **kwargs):
+            return getattr(self.inner, name)(*args, **kwargs)
+
+    else:
+
+        def forward(self, block_id, *args, **kwargs):
+            return self._intercept(kind, name, block_id, args, kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+def _forwarding(cls):
+    """Install one forwarder per member of ``cls``'s declared sets."""
+    sets = (("read", cls.READ), ("write", cls.WRITE), (None, cls.PASSTHROUGH))
+    for kind, names in sets:
+        for name in names:
+            setattr(cls, name, _forwarder(name, kind))
+    return abc.update_abstractmethods(cls)
+
+
+@_forwarding
+class BackendDecorator(StorageBackend):
+    """Wraps another backend, forwarding the whole protocol to ``inner``.
+
+    Every :class:`StorageBackend` member is declared in exactly one set
+    (pinned by ``tests/test_faults.py``).  ``READ`` and ``WRITE`` members
+    — the data path, each taking the block id first — go through
+    :meth:`_intercept`; ``PASSTHROUGH`` members (lifecycle and
+    introspection) go straight to ``inner``: faults model the data path,
+    not the allocator.  Subclasses override only the hook.
+    """
+
+    READ = frozenset({"fetch", "records", "records_arr", "contains_key"})
+    WRITE = frozenset({"commit", "append", "replace", "drain", "remove_key"})
+    PASSTHROUGH = frozenset(
+        {
+            "create",
+            "create_many",
+            "delete",
+            "__contains__",
+            "length",
+            "is_fresh",
+            "ids",
+            "count",
+            "nonempty",
+            "words_stored",
+        }
+    )
+
+    def __init__(self, inner: StorageBackend) -> None:
+        super().__init__(inner.b, inner.record_words)
+        self.inner = inner
+
+    def _intercept(self, kind: str, name: str, block_id: int, args, kwargs):
+        """Run data-path member ``name`` (``kind`` ``"read"``/``"write"``)."""
+        return getattr(self.inner, name)(block_id, *args, **kwargs)
+
+
+class FaultInjectingBackend(BackendDecorator):
+    """Injects scheduled faults into another backend's data path.
+
+    Every ``READ``/``WRITE`` member ticks the shared :class:`FaultClock`
+    and raises what the schedule holds for that op.  On a hard crash a
+    multi-record ``append``/``replace`` is torn first: half its records
+    land, so the abandoned state is genuinely inconsistent.
     """
 
     name = "fault-injecting"
+    TEARABLE = frozenset({"append", "replace"})
 
     def __init__(
         self,
@@ -158,15 +226,15 @@ class FaultInjectingBackend(StorageBackend):
         schedule: FaultSchedule | None = None,
         trace: list[str] | None = None,
     ) -> None:
-        super().__init__(inner.b, inner.record_words)
-        self.inner = inner
+        super().__init__(inner)
         self.clock = clock if clock is not None else FaultClock()
         self.schedule = schedule if schedule is not None else FaultSchedule()
         self.trace = trace
         self.injected = 0
         self._pending = {"read": 0, "write": 0}
 
-    def _tick(self, kind: str, block_id: int, torn=None) -> None:
+    def _intercept(self, kind: str, name: str, block_id: int, args, kwargs):
+        call = getattr(self.inner, name)
         op = self.clock.tick()
         if self.trace is not None:
             # op indices start at 1, so trace[op - 1] is this op's kind;
@@ -174,12 +242,11 @@ class FaultInjectingBackend(StorageBackend):
             self.trace.append(kind)
         sched = self.schedule
         if sched.crash_at_op is not None and op >= sched.crash_at_op:
-            if torn is not None:
+            if name in self.TEARABLE and len(args[0]) > 1:
                 # Tear the write: a prefix of the records lands, the
-                # rest never does — the abandoned state is inconsistent
-                # and recovery must not look at it.
+                # rest never does — recovery must not look at it.
                 with contextlib.suppress(Exception):
-                    torn()
+                    call(block_id, args[0][: len(args[0]) // 2])
             raise SimulatedCrash(
                 f"hard crash at backend op {op} ({kind} on block {block_id})"
             )
@@ -193,89 +260,7 @@ class FaultInjectingBackend(StorageBackend):
             raise StorageFault(
                 f"injected transient {kind} fault on block {block_id} (op {op})"
             )
-
-    # -- read-faultable -------------------------------------------------------
-
-    def fetch(self, block_id: int) -> Block:
-        self._tick("read", block_id)
-        return self.inner.fetch(block_id)
-
-    def records(self, block_id: int) -> list[int]:
-        self._tick("read", block_id)
-        return self.inner.records(block_id)
-
-    def records_arr(self, block_id: int) -> np.ndarray:
-        self._tick("read", block_id)
-        return self.inner.records_arr(block_id)
-
-    def contains_key(self, block_id: int, key: int) -> bool:
-        self._tick("read", block_id)
-        return self.inner.contains_key(block_id, key)
-
-    # -- write-faultable ------------------------------------------------------
-
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
-        self._tick("write", block_id)
-        self.inner.commit(block_id, block, copy=copy)
-
-    def append(self, block_id: int, items: list[int]) -> None:
-        torn = None
-        if len(items) > 1:
-            torn = lambda: self.inner.append(block_id, items[: len(items) // 2])
-        self._tick("write", block_id, torn=torn)
-        self.inner.append(block_id, items)
-
-    def replace(self, block_id: int, items: list[int]) -> None:
-        torn = None
-        if len(items) > 1:
-            torn = lambda: self.inner.replace(block_id, items[: len(items) // 2])
-        self._tick("write", block_id, torn=torn)
-        self.inner.replace(block_id, items)
-
-    def drain(self, block_id: int) -> list[int]:
-        self._tick("write", block_id)
-        return self.inner.drain(block_id)
-
-    def remove_key(self, block_id: int, key: int) -> bool:
-        self._tick("write", block_id)
-        return self.inner.remove_key(block_id, key)
-
-    # -- untouched pass-through ----------------------------------------------
-
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
-        self.inner.create(block_id, record_words=record_words)
-
-    def create_many(self, block_ids, *, record_words: int | None = None) -> None:
-        self.inner.create_many(block_ids, record_words=record_words)
-
-    def delete(self, block_id: int) -> None:
-        self.inner.delete(block_id)
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self.inner
-
-    def length(self, block_id: int) -> int:
-        return self.inner.length(block_id)
-
-    def is_fresh(self, block_id: int) -> bool:
-        return self.inner.is_fresh(block_id)
-
-    def ids(self) -> list[int]:
-        return self.inner.ids()
-
-    def count(self) -> int:
-        return self.inner.count()
-
-    def nonempty(self) -> int:
-        return self.inner.nonempty()
-
-    def words_stored(self) -> int:
-        return self.inner.words_stored()
-
-
-# ---------------------------------------------------------------------------
-# Retry-with-backoff decorator
-# ---------------------------------------------------------------------------
+        return call(block_id, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -291,7 +276,7 @@ class RetryPolicy:
         return min(self.backoff_s * (2 ** (attempt - 1)), self.max_backoff_s)
 
 
-class RetryingBackend(StorageBackend):
+class RetryingBackend(BackendDecorator):
     """Heals transient :class:`StorageFault`\\ s with bounded retries.
 
     Sits between the disk and a (possibly faulty) inner backend.  The
@@ -312,19 +297,19 @@ class RetryingBackend(StorageBackend):
         policy: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        super().__init__(inner.b, inner.record_words)
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy if policy is not None else RetryPolicy()
         self._sleep = sleep
         self.retries = 0
         self.total_backoff_s = 0.0
 
-    def _call(self, block_id: int, fn, *args, **kwargs):
+    def _intercept(self, kind: str, name: str, block_id: int, args, kwargs):
+        call = getattr(self.inner, name)
         policy = self.policy
         last: StorageFault | None = None
         for attempt in range(policy.max_retries + 1):
             try:
-                return fn(*args, **kwargs)
+                return call(block_id, *args, **kwargs)
             except RetryExhausted:
                 raise
             except StorageFault as exc:
@@ -340,64 +325,32 @@ class RetryingBackend(StorageBackend):
             f"block {block_id}: gave up after {policy.max_retries} retries: {last}"
         ) from last
 
-    def fetch(self, block_id: int) -> Block:
-        return self._call(block_id, self.inner.fetch, block_id)
 
-    def records(self, block_id: int) -> list[int]:
-        return self._call(block_id, self.inner.records, block_id)
+def install_fault_stack(
+    svc: DictionaryService,
+    *,
+    clock: FaultClock,
+    schedule: FaultSchedule | None = None,
+    trace: list[str] | None = None,
+    retry: RetryPolicy | None = None,
+) -> list[BackendDecorator]:
+    """Decorate every shard disk of ``svc`` for a chaos run.
 
-    def records_arr(self, block_id: int) -> np.ndarray:
-        return self._call(block_id, self.inner.records_arr, block_id)
-
-    def contains_key(self, block_id: int, key: int) -> bool:
-        return self._call(block_id, self.inner.contains_key, block_id, key)
-
-    def commit(self, block_id: int, block: Block, *, copy: bool = False) -> None:
-        return self._call(block_id, self.inner.commit, block_id, block, copy=copy)
-
-    def append(self, block_id: int, items: list[int]) -> None:
-        return self._call(block_id, self.inner.append, block_id, items)
-
-    def replace(self, block_id: int, items: list[int]) -> None:
-        return self._call(block_id, self.inner.replace, block_id, items)
-
-    def drain(self, block_id: int) -> list[int]:
-        return self._call(block_id, self.inner.drain, block_id)
-
-    def remove_key(self, block_id: int, key: int) -> bool:
-        return self._call(block_id, self.inner.remove_key, block_id, key)
-
-    # -- untouched pass-through ----------------------------------------------
-
-    def create(self, block_id: int, *, record_words: int | None = None) -> None:
-        self.inner.create(block_id, record_words=record_words)
-
-    def create_many(self, block_ids, *, record_words: int | None = None) -> None:
-        self.inner.create_many(block_ids, record_words=record_words)
-
-    def delete(self, block_id: int) -> None:
-        self.inner.delete(block_id)
-
-    def __contains__(self, block_id: int) -> bool:
-        return block_id in self.inner
-
-    def length(self, block_id: int) -> int:
-        return self.inner.length(block_id)
-
-    def is_fresh(self, block_id: int) -> bool:
-        return self.inner.is_fresh(block_id)
-
-    def ids(self) -> list[int]:
-        return self.inner.ids()
-
-    def count(self) -> int:
-        return self.inner.count()
-
-    def nonempty(self) -> int:
-        return self.inner.nonempty()
-
-    def words_stored(self) -> int:
-        return self.inner.words_stored()
+    Each backend gets a :class:`FaultInjectingBackend` on the shared
+    ``clock`` and, when ``retry`` is given, a :class:`RetryingBackend`
+    over it whose backoff is counted but never slept.  Returns the
+    outermost decorators, shard order.
+    """
+    stack: list[BackendDecorator] = []
+    for sub in svc._contexts:
+        top: BackendDecorator = FaultInjectingBackend(
+            sub.disk.backend, clock=clock, schedule=schedule, trace=trace
+        )
+        if retry is not None:
+            top = RetryingBackend(top, policy=retry, sleep=lambda s: None)
+        sub.disk.backend = top
+        stack.append(top)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +554,6 @@ class _Golden:
     found: np.ndarray
 
 
-def _ledger_tuple(snap) -> tuple:
-    return (snap.reads, snap.writes, snap.combined, snap.allocations)
-
-
 def _drive(
     svc: DictionaryService,
     kinds: np.ndarray,
@@ -628,8 +577,8 @@ def _drive(
 
 def _observe(svc: DictionaryService, probe_keys: np.ndarray) -> _Golden:
     """Capture every compared observable; ledgers before the probes."""
-    cluster = _ledger_tuple(svc.io_snapshot())
-    shards = [_ledger_tuple(s) for s in svc.shard_io_snapshots()]
+    cluster = svc.io_snapshot().values()
+    shards = [s.values() for s in svc.shard_io_snapshots()]
     layout = svc.layout_snapshot()
     sizes = svc.shard_sizes()
     peak = svc.memory_high_water()
@@ -705,8 +654,7 @@ def run_crash_matrix(
     # the same decorator stack is in place while we count backend ops.
     golden_svc = make_service()
     clock = FaultClock()
-    for sub in golden_svc._contexts:
-        sub.disk.backend = FaultInjectingBackend(sub.disk.backend, clock=clock)
+    install_fault_stack(golden_svc, clock=clock)
     _drive(golden_svc, kinds, keys, window)
     backend_ops = clock.ops
     epochs = golden_svc.epochs_run
@@ -746,15 +694,9 @@ def run_crash_matrix(
                 burst=fault_burst,
                 crash_at_op=point.index if point.kind == "backend-op" else None,
             )
-            leg_clock = FaultClock()
-            retriers = []
-            for sub in svc._contexts:
-                faulty = FaultInjectingBackend(
-                    sub.disk.backend, clock=leg_clock, schedule=schedule
-                )
-                retrier = RetryingBackend(faulty, policy=policy, sleep=lambda s: None)
-                sub.disk.backend = retrier
-                retriers.append(retrier)
+            retriers = install_fault_stack(
+                svc, clock=FaultClock(), schedule=schedule, retry=policy
+            )
             if point.kind == "journal-append":
                 svc.journal = CrashingJournal(jpath, crash_append_at=point.index)
             elif point.kind == "journal-commit":
@@ -880,10 +822,7 @@ def run_overload_chaos(
     probe_svc = make_service()
     clock = FaultClock()
     op_log: list[str] = []
-    for sub in probe_svc._contexts:
-        sub.disk.backend = FaultInjectingBackend(
-            sub.disk.backend, clock=clock, trace=op_log
-        )
+    install_fault_stack(probe_svc, clock=clock, trace=op_log)
     arrivals = PoissonArrivals(rate_factor * service_rate, seed=seed + 1)
     controller = AdmissionController(queue_depth=queue_depth, policy=policy)
     OpenLoopClient(
@@ -913,16 +852,9 @@ def run_overload_chaos(
         write_faults=_sites(writes, fault_sites),
     )
     svc = make_service()
-    leg_clock = FaultClock()
-    retriers, injectors = [], []
-    for sub in svc._contexts:
-        faulty = FaultInjectingBackend(
-            sub.disk.backend, clock=leg_clock, schedule=schedule
-        )
-        retrier = RetryingBackend(faulty, policy=policy_r, sleep=lambda s: None)
-        sub.disk.backend = retrier
-        injectors.append(faulty)
-        retriers.append(retrier)
+    retriers = install_fault_stack(
+        svc, clock=FaultClock(), schedule=schedule, retry=policy_r
+    )
     breaker = ShardBreakerBoard(
         svc.shards, threshold=breaker_threshold, cooldown=cooldown_s
     )
@@ -972,5 +904,5 @@ def run_overload_chaos(
         breaker_trips=breaker.trips,
         breaker_recoveries=breaker.recoveries,
         retries=sum(r.retries for r in retriers),
-        faults_injected=sum(i.injected for i in injectors),
+        faults_injected=sum(r.inner.injected for r in retriers),
     )

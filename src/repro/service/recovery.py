@@ -37,9 +37,6 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..em.cache import CacheStats
-from ..obs import MetricsRegistry
-from ..tables.sharded import SlotDirectory
 from .journal import EpochJournal
 from .service import DictionaryService, make_executor
 
@@ -50,7 +47,9 @@ __all__ = [
     "snapshot_service",
 ]
 
-_SNAPSHOT_VERSION = 1
+#: Version 2 pickles the service object itself (version 1 pickled a
+#: dict of its fields); older files are rejected, not migrated.
+_SNAPSHOT_VERSION = 2
 
 
 def snapshot_service(service: DictionaryService, path: str | Path) -> None:
@@ -59,32 +58,11 @@ def snapshot_service(service: DictionaryService, path: str | Path) -> None:
     Call between :meth:`DictionaryService.run` calls (or between epochs
     of a window-by-window driver): that is the commit boundary at which
     per-shard ledgers have merged and no staging state is in flight.
-    The executor and journal handles are deliberately excluded — they
-    are reattached on restore.
+    The service pickles itself minus its handles (see
+    :meth:`DictionaryService.__getstate__`): the executor by name, no
+    journal or trace recorder — they are reattached on restore.
     """
-    state = {
-        "version": _SNAPSHOT_VERSION,
-        "name": service.name,
-        "ctx": service.ctx,
-        "shards": service.shards,
-        "epoch_ops": service.epoch_ops,
-        "router": service.router,
-        "contexts": service._contexts,
-        "tables": service._tables,
-        "ledger": service.ledger,
-        "cache": service.cache,
-        "epochs_run": service.epochs_run,
-        "ops_committed": service.ops_committed,
-        "executor": getattr(service.executor, "name", "serial"),
-        "directory": service.directory,
-        "rebalancer": service.rebalancer,
-        "migrated_slots": service.migrated_slots,
-        "keys_moved": service.keys_moved,
-        "migration_io": service.migration_io,
-        "migrations_applied": service.migrations_applied,
-        "metrics": service._metrics,
-        "setup_io": service.setup_io,
-    }
+    state = {"version": _SNAPSHOT_VERSION, "service": service}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
@@ -108,6 +86,7 @@ def restore_service(
     ``executor`` overrides the snapshotted executor name (e.g. restore a
     ``threads`` service as ``serial`` for debugging).  The restored
     service has no journal attached; :func:`recover` reattaches one.
+    Snapshots of another format version are rejected.
     """
     with open(path, "rb") as fh:
         state = pickle.load(fh)
@@ -115,54 +94,9 @@ def restore_service(
         raise ValueError(
             f"unsupported snapshot version {state.get('version')!r} in {path}"
         )
-    svc = DictionaryService.__new__(DictionaryService)
-    svc.ctx = state["ctx"]
-    svc.shards = state["shards"]
-    svc.epoch_ops = state["epoch_ops"]
-    svc.name = state["name"]
-    svc.router = state["router"]
-    svc.executor = make_executor(executor or state["executor"])
-    svc._contexts = state["contexts"]
-    svc._tables = state["tables"]
-    svc.ledger = state["ledger"]
-    # Snapshots are taken at epoch boundaries, where the last merge left
-    # marks equal to the live per-shard counters — so fresh snapshots
-    # reproduce the marks exactly.
-    svc._marks = [sub.stats.snapshot() for sub in svc._contexts]
-    # Older snapshots predate the cache ledger; restore them uncached.
-    svc.cache = state.get("cache", CacheStats())
-    svc._cache_marks = [
-        (cs.snapshot() if cs is not None else None)
-        for cs in (sub.cache_stats() for sub in svc._contexts)
-    ]
-    svc.epochs_run = state["epochs_run"]
-    svc.journal = None
-    svc.ops_committed = state["ops_committed"]
-    # Older snapshots predate the slot directory; they can only have
-    # routed statically, so a fresh static directory restores them
-    # exactly.
-    directory = state.get("directory")
-    svc.directory = (
-        directory
-        if directory is not None
-        else SlotDirectory(svc.router, svc.shards)
-    )
-    svc.rebalancer = state.get("rebalancer")
-    svc.migrated_slots = state.get("migrated_slots", 0)
-    svc.keys_moved = state.get("keys_moved", 0)
-    svc.migration_io = state.get("migration_io", 0)
-    svc.migrations_applied = state.get("migrations_applied", 0)
-    # Observability: the metrics registry rides the snapshot (older
-    # snapshots restore with a fresh one); trace recorders are handles,
-    # not state — a restored service starts untraced.
-    svc._metrics = state.get("metrics") or MetricsRegistry()
-    svc.setup_io = state.get("setup_io", 0)
-    svc.obs = None
-    svc.recorder = None
-    svc.metrics_listener = None
-    svc._run_seq = 0
-    svc._trace_base = svc.ops_committed
-    svc._journal_bytes_mark = 0
+    svc = state["service"]
+    if executor is not None:
+        svc.executor = make_executor(executor)
     return svc
 
 

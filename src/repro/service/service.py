@@ -60,6 +60,7 @@ from .journal import EpochJournal
 __all__ = [
     "DictionaryService",
     "EpochReport",
+    "ServiceLedger",
     "ServiceRun",
     "SerialExecutor",
     "ThreadExecutor",
@@ -162,6 +163,82 @@ def service_shard_view(parent: EMContext, index: int) -> EMContext:
     shard's own disk.  Ledgers merge at epoch close.
     """
     return shard_view(parent, index, stats=IOStats(policy=parent.policy))
+
+
+def _universe_keys(keys, u: int) -> np.ndarray:
+    """``keys`` as a contiguous ``uint64`` array of integers in ``[0, u)``.
+
+    The bare cast would wrap negatives, truncate fractions and keep keys
+    outside the universe; each is rejected instead, naming the first bad
+    position.  An in-range integer array costs one ``max`` (and one
+    ``min`` when signed).
+    """
+    arr = np.asarray(keys)
+    kind = arr.dtype.kind
+    if kind in "iu":
+        if arr.size == 0 or ((kind == "u" or arr.min() >= 0) and arr.max() < u):
+            return np.ascontiguousarray(arr, dtype=np.uint64)
+        bad = (arr < 0) | (arr >= u)
+    elif kind == "f":
+        with np.errstate(invalid="ignore"):
+            bad = ~np.isfinite(arr) | (arr != np.floor(arr)) | (arr < 0) | (arr >= u)
+    else:
+        ok = [isinstance(k, (int, np.integer)) and 0 <= k < u for k in arr.ravel()]
+        bad = ~np.array(ok, dtype=bool)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"key at position {i} is {arr.ravel().tolist()[i]!r}: keys must be "
+            f"integers in [0, u) with u={u}"
+        )
+    return np.ascontiguousarray(arr, dtype=np.uint64)
+
+
+@dataclass
+class ServiceLedger(IOSnapshot):
+    """The service's counters in one ledger: charged I/O, buffer pool, migrations.
+
+    The I/O counters come from :class:`IOSnapshot`.  A shard's reading
+    (:meth:`of_shard`) fills them and the cache counters; the cluster
+    ledger also tallies migrations — slots repointed, live keys drained
+    and re-inserted, the drains' charged I/O (already counted in
+    ``reads``/``writes``: no free moves), and applied migration
+    decisions (the REBALANCE-record sequence number).
+    """
+
+    hits: int = 0
+    misses: int = 0
+    negative_hits: int = 0
+    writebacks: int = 0
+    evictions: int = 0
+    migrated_slots: int = 0
+    keys_moved: int = 0
+    migration_io: int = 0
+    migrations_applied: int = 0
+
+    FIELDS = IOSnapshot.FIELDS + CacheStats.FIELDS + (
+        "migrated_slots",
+        "keys_moved",
+        "migration_io",
+        "migrations_applied",
+    )
+    METRICS = {
+        **IOSnapshot.METRICS,
+        **CacheStats.METRICS,
+        "migrated_slots": "repro_migrated_slots_total",
+        "keys_moved": "repro_migration_keys_total",
+        "migration_io": "repro_migration_io_total",
+        "migrations_applied": "repro_migrations_total",
+    }
+
+    @classmethod
+    def of_shard(cls, ctx: EMContext) -> "ServiceLedger":
+        """A shard machine's I/O and buffer-pool counters (zero uncached)."""
+        cache = ctx.cache_stats() or _NO_CACHE
+        return cls(*ctx.stats.values(), *cache.values())
+
+
+_NO_CACHE = CacheStats()
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +384,10 @@ class DictionaryService:
             self.rebalancer = rebalance or None
         self.executor = make_executor(executor) if isinstance(executor, str) else executor
         self._contexts = [service_shard_view(ctx, i) for i in range(shards)]
-        #: Cluster I/O ledger: per-shard deltas folded in at epoch close,
-        #: ascending shard order.
-        self.ledger = IOStats(policy=ctx.policy)
-        #: Cluster cache ledger (all-zero for uncached clusters): the
-        #: per-shard buffer-pool deltas are folded in alongside the I/O
-        #: ledger at epoch close.
-        self.cache = CacheStats()
-        self._marks: list[IOSnapshot] = [
-            sub.stats.snapshot() for sub in self._contexts
-        ]
-        self._cache_marks: list[CacheStats | None] = [
-            (cs.snapshot() if cs is not None else None)
-            for cs in (sub.cache_stats() for sub in self._contexts)
-        ]
+        #: Cluster ledger: per-shard deltas folded in at epoch close,
+        #: ascending shard order, plus the migration tallies.
+        self.ledger = ServiceLedger()
+        self._marks = [ServiceLedger.of_shard(sub) for sub in self._contexts]
         #: Always-on cluster metrics; fed the same ledger deltas the
         #: epoch-close merge folds, so it is executor-invariant and
         #: rides the snapshot/restore path.  See :meth:`metrics`.
@@ -370,15 +437,35 @@ class DictionaryService:
         #: Global stream position of the last committed epoch's ``stop``
         #: — how far into the client's trace durable state extends.
         self.ops_committed = 0
-        #: Migration counters (all zero for static runs): slots
-        #: repointed, live keys drained+re-inserted, charged I/O of the
-        #: drains (already folded into :attr:`ledger` — no free moves),
-        #: and applied migration decisions (the REBALANCE-record
-        #: sequence number).
-        self.migrated_slots = 0
-        self.keys_moved = 0
-        self.migration_io = 0
-        self.migrations_applied = 0
+
+    # Migration tallies (all zero for static runs), read off the ledger.
+    migrated_slots = property(lambda self: self.ledger.migrated_slots)
+    keys_moved = property(lambda self: self.ledger.keys_moved)
+    migration_io = property(lambda self: self.ledger.migration_io)
+    migrations_applied = property(lambda self: self.ledger.migrations_applied)
+
+    # -- snapshots -----------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """Everything but the handles: the executor pickles by name; the
+        journal, trace recorder and metrics listener are left behind, so
+        a restored service starts unjournaled and untraced."""
+        state = self.__dict__.copy()
+        state.update(
+            executor=getattr(self.executor, "name", "serial"),
+            journal=None,
+            obs=None,
+            recorder=None,
+            metrics_listener=None,
+            _run_seq=0,
+            _trace_base=self.ops_committed,
+            _journal_bytes_mark=0,
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.executor = make_executor(self.executor)
 
     # -- request execution --------------------------------------------------
 
@@ -387,9 +474,13 @@ class DictionaryService:
         kinds: np.ndarray | Sequence[int],
         keys: np.ndarray | Sequence[int],
     ) -> ServiceRun:
-        """Execute an encoded request stream; results in arrival order."""
+        """Execute an encoded request stream; results in arrival order.
+
+        Raises ``ValueError`` naming the first key that is not an
+        integer in ``[0, ctx.u)`` — before anything runs.
+        """
         kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        keys = _universe_keys(keys, self.ctx.u)
         n = len(kinds)
         lookup_found = np.zeros(n, dtype=bool)
         delete_removed = np.zeros(n, dtype=bool)
@@ -624,52 +715,36 @@ class DictionaryService:
         ]
 
     def _merge_ledgers(self) -> int:
-        """Fold per-shard ledger deltas into the cluster ledgers.
+        """Fold per-shard ledger deltas into the cluster ledger.
 
-        Ascending shard order; returns the epoch's charged I/O total.
-        Cache deltas (cached clusters only) merge alongside the I/O
-        counters so ``hits + misses`` stays aligned with the reads the
-        same epochs charged.
+        One delta and one absorb per shard, ascending shard order; the
+        merged delta feeds the metric series.  Returns the charged I/O
+        total.  Cache counters ride in the same ledger, so ``hits +
+        misses`` stays aligned with the reads the same epochs charged.
         """
-        total = 0
-        per_shard = []
-        deltas: list[IOSnapshot] = []
-        cache_delta = CacheStats()
+        before = self.ledger.snapshot()
+        deltas: list[ServiceLedger] = []
         metrics = self._metrics
         for i, sub in enumerate(self._contexts):
-            delta = sub.stats.delta_since(self._marks[i])
-            self._marks[i] = sub.stats.snapshot()
+            reading = ServiceLedger.of_shard(sub)
+            delta = reading - self._marks[i]
+            self._marks[i] = reading
             self.ledger.absorb(delta)
-            per_shard.append(delta.total)
             deltas.append(delta)
-            total += delta.total
             if delta.total:
                 metrics.inc("repro_shard_io_total", delta.total, shard=str(i))
-            mark = self._cache_marks[i]
-            if mark is not None:
-                shard_cache = sub.cache_stats()
-                d = shard_cache.delta_since(mark)
-                self.cache.absorb(d)
-                cache_delta.absorb(d)
-                self._cache_marks[i] = shard_cache.snapshot()
-        metrics.inc("repro_io_reads_total", sum(d.reads for d in deltas))
-        metrics.inc("repro_io_writes_total", sum(d.writes for d in deltas))
-        metrics.inc("repro_io_combined_total", sum(d.combined for d in deltas))
-        metrics.inc(
-            "repro_io_allocations_total", sum(d.allocations for d in deltas)
-        )
-        for field, value in cache_delta.as_dict().items():
-            metrics.inc(f"repro_cache_{field}_total", value)
+        merged = self.ledger - before
+        merged.fold_metrics(metrics)
         # The per-shard split of the merge just folded — the epoch-close
         # load sample _maybe_rebalance observes.  Migration drains merge
         # through here too, so their charges never pollute the next
         # epoch's sample (they are read before the migration merges).
-        self._last_epoch_shard_io = per_shard
-        # Full per-shard deltas + the cache delta of the same merge, for
-        # the trace's epoch span (relabelling: read, never re-charged).
+        self._last_epoch_shard_io = [d.total for d in deltas]
+        # Per-shard and merged deltas for the trace's epoch span
+        # (relabelling: read, never re-charged).
         self._last_epoch_shard_deltas = deltas
-        self._last_cache_delta = cache_delta
-        return total
+        self._last_merge = merged
+        return merged.total
 
     # -- observability -------------------------------------------------------
 
@@ -729,7 +804,7 @@ class DictionaryService:
         shards = []
         for j, shard in enumerate(shard_order):
             d = deltas[shard]
-            batch = {"shard": shard, "io": d.total, **d.as_dict()}
+            batch = {"shard": shard, "io": d.total, **IOSnapshot.of(d).as_dict()}
             if timings is not None:
                 batch["wall_ms"] = round(timings[j] * 1e3, 3)
             shards.append(batch)
@@ -746,7 +821,7 @@ class DictionaryService:
             "wall_ms": round(report.seconds * 1e3, 3),
             "shards": shards,
         }
-        cache = self._last_cache_delta
+        cache = CacheStats.of(self._last_merge)
         if cache.accesses or cache.negative_hits or cache.evictions:
             span["cache"] = cache.as_dict()
         self.recorder.emit("epoch", **span)
@@ -808,16 +883,15 @@ class DictionaryService:
         # marks advance past it, and migration_io keeps the separate
         # tally reports surface.
         io = self._merge_ledgers()
-        self.migration_io += io
-        self.migrated_slots += report.slots_moved
-        self.keys_moved += report.keys_moved
         seq = self.migrations_applied
-        self.migrations_applied += 1
-        metrics = self._metrics
-        metrics.inc("repro_migrations_total")
-        metrics.inc("repro_migrated_slots_total", report.slots_moved)
-        metrics.inc("repro_migration_keys_total", report.keys_moved)
-        metrics.inc("repro_migration_io_total", io)
+        tally = ServiceLedger(
+            migrated_slots=report.slots_moved,
+            keys_moved=report.keys_moved,
+            migration_io=io,
+            migrations_applied=1,
+        )
+        self.ledger.absorb(tally)
+        tally.fold_metrics(self._metrics)
         if self.recorder is not None:
             self.recorder.emit(
                 "rebalance",
@@ -858,22 +932,11 @@ class DictionaryService:
     @property
     def stats(self) -> TableStats:
         """Aggregated operation counters over all shard tables."""
-        agg = TableStats()
-        for table in self._tables:
-            s = table.stats
-            agg.inserts += s.inserts
-            agg.lookups += s.lookups
-            agg.hits += s.hits
-            agg.deletes += s.deletes
-            agg.rebuilds += s.rebuilds
-            agg.merges += s.merges
-            for k, v in s.extra.items():
-                agg.extra[k] = agg.extra.get(k, 0) + v
-        return agg
+        return TableStats.summed(self._tables)
 
     def io_snapshot(self) -> IOSnapshot:
         """Cluster I/O counters (merged ledger) as of the last epoch close."""
-        return self.ledger.snapshot()
+        return IOSnapshot.of(self.ledger)
 
     def cache_snapshot(self) -> CacheStats:
         """Cluster cache counters as of the last epoch close.
@@ -881,7 +944,7 @@ class DictionaryService:
         All-zero for uncached clusters (``cache_blocks=0``) — reports
         stay schema-stable across the caching axis.
         """
-        return self.cache.snapshot()
+        return CacheStats.of(self.ledger)
 
     def shard_io_snapshots(self) -> list[IOSnapshot]:
         """Per-shard ledger snapshots, shard order (determinism tests)."""

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..em.iostats import Ledger
 from ..em.storage import EMContext
 
 
@@ -65,7 +66,7 @@ class LayoutSnapshot:
 
 
 @dataclass
-class TableStats:
+class TableStats(Ledger):
     """Operation counters every table maintains."""
 
     inserts: int = 0
@@ -76,8 +77,20 @@ class TableStats:
     merges: int = 0
     extra: dict[str, int] = field(default_factory=dict)
 
+    FIELDS = ("inserts", "lookups", "hits", "deletes", "rebuilds", "merges")
+
     def bump(self, name: str, amount: int = 1) -> None:
         self.extra[name] = self.extra.get(name, 0) + amount
+
+    @classmethod
+    def summed(cls, tables: Iterable["ExternalDictionary"]) -> "TableStats":
+        """The tables' counters added up, ``extra`` included."""
+        agg = cls()
+        for table in tables:
+            agg.absorb(table.stats)
+            for name, amount in table.stats.extra.items():
+                agg.bump(name, amount)
+        return agg
 
 
 class ExternalDictionary(abc.ABC):

@@ -398,18 +398,7 @@ class ShardedDictionary(ExternalDictionary):
     @property
     def stats(self) -> TableStats:
         """Aggregated operation counters over all shards."""
-        agg = TableStats()
-        for table in self._shards:
-            s = table.stats
-            agg.inserts += s.inserts
-            agg.lookups += s.lookups
-            agg.hits += s.hits
-            agg.deletes += s.deletes
-            agg.rebuilds += s.rebuilds
-            agg.merges += s.merges
-            for k, v in s.extra.items():
-                agg.extra[k] = agg.extra.get(k, 0) + v
-        return agg
+        return TableStats.summed(self._shards)
 
     @property
     def _size(self) -> int:

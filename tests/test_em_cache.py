@@ -11,6 +11,8 @@ from repro.em import (
     STRICT_POLICY,
     IOStats,
 )
+from repro.em.cache import CacheStats
+from repro.service.service import ServiceLedger
 
 
 @pytest.fixture
@@ -191,19 +193,39 @@ class TestStatsLifecycle:
         assert s.accesses == 4
         assert s.hit_rate == pytest.approx(0.75)
 
-    def test_snapshot_delta_absorb_roundtrip(self):
-        from repro.em.cache import CacheStats
-
-        s = CacheStats(hits=5, misses=2, negative_hits=1, writebacks=1,
-                       evictions=3)
+    @pytest.mark.parametrize(
+        "ledger, start, bump",
+        [
+            (
+                CacheStats,
+                dict(hits=5, misses=2, negative_hits=1, writebacks=1, evictions=3),
+                dict(hits=10, misses=4, negative_hits=2),
+            ),
+            (
+                IOStats,
+                dict(reads=7, writes=3, combined=2, allocations=1),
+                dict(reads=5, combined=1),
+            ),
+            (
+                ServiceLedger,
+                dict(migrated_slots=2, keys_moved=40, migration_io=9,
+                     migrations_applied=1),
+                dict(migrated_slots=3, keys_moved=11, migration_io=6,
+                     migrations_applied=1),
+            ),
+        ],
+        ids=["cache", "io", "migration"],
+    )
+    def test_snapshot_delta_absorb_roundtrip(self, ledger, start, bump):
+        """Every ledger shares one checkpoint/merge implementation."""
+        s = ledger(**start)
         snap = s.snapshot()
-        s.hits += 10
-        s.misses += 4
-        s.negative_hits += 2
+        for name, value in bump.items():
+            setattr(s, name, getattr(s, name) + value)
         d = s.delta_since(snap)
-        assert (d.hits, d.misses, d.negative_hits) == (10, 4, 2)
-        assert (d.writebacks, d.evictions) == (0, 0)
-        agg = CacheStats()
+        assert d.as_dict() == {name: bump.get(name, 0) for name in ledger.FIELDS}
+        assert s - snap == d
+        agg = ledger()
         agg.absorb(snap)
         agg.absorb(d)
         assert agg == s

@@ -18,12 +18,14 @@ from repro.em import (
     MappingBackend,
     RetryExhausted,
     SimulatedCrash,
+    StorageBackend,
     StorageFault,
     make_context,
 )
 from repro.core.buffered import BufferedHashTable
 from repro.hashing.family import MULTIPLY_SHIFT
 from repro.service import (
+    BackendDecorator,
     CrashingJournal,
     DictionaryService,
     EpochJournal,
@@ -44,6 +46,31 @@ def _stack(schedule, policy=None, sleeps=None):
         sleep=(sleeps.append if sleeps is not None else lambda s: None),
     )
     return inner, faulty, retrier
+
+
+class TestDecoratorProtocol:
+    def test_every_protocol_member_is_declared_exactly_once(self):
+        """A member added to StorageBackend later cannot bypass fault
+        injection silently: it must be sorted into one of the sets."""
+        sets = (
+            BackendDecorator.READ,
+            BackendDecorator.WRITE,
+            BackendDecorator.PASSTHROUGH,
+        )
+        for member in StorageBackend.__abstractmethods__:
+            assert sum(member in s for s in sets) == 1, member
+        declared = set().union(*sets)
+        assert sum(len(s) for s in sets) == len(declared)
+        assert all(hasattr(StorageBackend, m) for m in declared)
+
+    def test_decorators_define_no_per_method_forwarders(self):
+        members = (
+            BackendDecorator.READ
+            | BackendDecorator.WRITE
+            | BackendDecorator.PASSTHROUGH
+        )
+        for cls in (FaultInjectingBackend, RetryingBackend):
+            assert not members & set(vars(cls)), cls.__name__
 
 
 class TestSchedule:

@@ -95,6 +95,37 @@ class TestSnapshotRestore:
         with pytest.raises(ValueError, match="snapshot version"):
             restore_service(path)
 
+    def test_restore_rejects_version_1_snapshots(self, tmp_path):
+        """Version 1 stored a dict of service fields; it is refused
+        loudly rather than patched up with defaults."""
+        import pickle
+
+        svc = _make_service()
+        v1 = {"version": 1, "name": svc.name, "ctx": svc.ctx, "epochs_run": 0}
+        path = tmp_path / "v1.pkl"
+        path.write_bytes(pickle.dumps(v1))
+        with pytest.raises(ValueError, match="unsupported snapshot version 1"):
+            restore_service(path)
+
+    def test_restore_resumes_metrics_and_migration_tallies(self, tmp_path):
+        kinds, keys = _trace(1200)
+        svc = DictionaryService(
+            make_context(b=16, m=128, u=10**12, cache_blocks=4),
+            _buffered,
+            shards=3,
+            epoch_ops=256,
+            rebalance=True,
+        )
+        svc.run(kinds[:600], keys[:600])
+        snapshot_service(svc, tmp_path / "s.pkl")
+        twin = restore_service(tmp_path / "s.pkl")
+        assert twin.journal is None and twin.recorder is None
+        for s in (svc, twin):
+            s.run(kinds[600:], keys[600:])
+        assert twin.metrics().render() == svc.metrics().render()
+        assert twin.ledger == svc.ledger
+        assert twin.cache_snapshot() == svc.cache_snapshot()
+
     def test_restore_can_override_executor(self, tmp_path):
         svc = _make_service()
         snapshot_service(svc, tmp_path / "s.pkl")

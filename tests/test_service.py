@@ -298,6 +298,30 @@ def test_executor_registry_and_validation():
         DictionaryService(ctx, _chained, epoch_ops=-1)
 
 
+@pytest.mark.parametrize(
+    "keys, bad_pos, bad_value",
+    [
+        ([5, 2**40], 1, 2**40),  # outside the universe
+        (np.array([3, 1.7]), 1, 1.7),  # would truncate to 1
+        (np.array([4, -1], dtype=np.int64), 1, -1),  # would wrap to 2**64 - 1
+    ],
+    ids=["beyond-u", "float", "negative"],
+)
+def test_run_rejects_keys_outside_the_universe(keys, bad_pos, bad_value):
+    ctx = make_context(b=32, m=512, u=10**9)
+    kinds = np.full(len(keys), OP_INSERT, dtype=np.uint8)
+    with DictionaryService(ctx, _chained, shards=2) as svc:
+        with pytest.raises(ValueError) as exc_info:
+            svc.run(kinds, keys)
+        msg = str(exc_info.value)
+        assert f"position {bad_pos}" in msg and repr(bad_value) in msg
+        assert f"u={10**9}" in msg
+        # Rejected before anything ran: nothing stored, no epoch closed.
+        assert len(svc) == 0 and svc.epochs_run == 0
+        found = svc.run(np.full(1, OP_LOOKUP, dtype=np.uint8), [5])
+        assert not found.lookup_found[0]
+
+
 def test_thread_executor_propagates_thunk_exception():
     ex = make_executor("threads", max_workers=2)
     ran = []
