@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: help test test-fast chaos-test overload-test obs-test bench cache-bench service-bench slo-bench skew-bench bench-all plots clean
+.PHONY: help test test-fast chaos-test overload-test obs-test bench cache-bench service-bench slo-bench skew-bench bench-all perfbench perfbench-trace plots clean
 
 ## Print the entry points (tier-1 invocation included).
 help:
@@ -20,6 +20,8 @@ help:
 	@echo "  make slo-bench     latency vs offered load sweep + breaker chaos -> BENCH_service.json"
 	@echo "  make skew-bench    static-vs-adaptive routing skew matrix + plots -> BENCH_skew.json"
 	@echo "  make bench-all     every paper-artifact benchmark (slow)"
+	@echo "  make perfbench     service benchmark, all four workloads: end-to-end metrics"
+	@echo "  make perfbench-trace  the same, traced: per-layer wall-time metrics"
 	@echo "  make plots         regenerate every plots/*.dat from the checked-in BENCH_*.json"
 	@echo "  make clean         remove caches"
 
@@ -113,6 +115,15 @@ skew-bench:
 ## Every paper-artifact benchmark (slow; prints the reproduced tables).
 bench-all:
 	$(PY) -m pytest benchmarks/ --benchmark-only -s -q
+
+## The service benchmark (perfbench/run.py, declared in BENCHMARK.json)
+## over all four workloads at its run length: end-to-end metrics with
+## tracing off, or with --trace 1 the per-layer breakdown as well.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
+
+perfbench-trace:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 25 --trace 1
 
 ## Rebuild every plots/*.dat from the series payloads stashed in the
 ## checked-in BENCH_*.json — no benchmark re-run, so plot data can

@@ -96,7 +96,7 @@ from repro.workloads.trace import (
 )
 
 from conftest import emit, once
-from plotdata import write_series
+from plotdata import series_payload, write_series
 
 B, M, U = 1024, 4096, 2**61 - 1
 SIZES = (10_000, 100_000, 1_000_000)
@@ -131,7 +131,7 @@ CACHE_BLOCKS = 256
 CACHE_N = 100_000
 CACHE_ROUNDS = 6
 #: Per-round mix: scalar lookups (the hot path the pool serves) plus a
-#: bulk-insert tail that grows the table and invalidates frames.
+#: bulk-insert tail that grows the table and drops resident ids.
 CACHE_PROBES = 24_000
 CACHE_GROW = 2_000
 #: The last rounds, after growth churn settles, count as "warm".
@@ -649,7 +649,7 @@ def _run_cache_leg(name, m, cache_blocks, base, grow, probes) -> dict:
     table = _cache_table(name, ctx)
     table.insert_batch(base)
     if ctx.disk.cache is not None:
-        # Frames are clean copies (mutators invalidate first), so
+        # Nothing is ever written back (mutators drop the id first), so
         # discarding build-time residency charges nothing: round 0 pays
         # true compulsory misses.
         ctx.disk.cache.clear()
@@ -715,6 +715,16 @@ def test_cache_throughput(benchmark):
     legs = once(benchmark, sweep)
     rows = []
     curves = {}
+    cache_columns = (
+        "round",
+        "phase",
+        "uncached_kops",
+        "cached_kops",
+        "hit_rate",
+        "uncached_reads",
+        "cached_reads",
+        "negative_hits",
+    )
     for name, (uncached, cached) in legs.items():
         series = []
         for ur, cr in zip(uncached["rounds"], cached["rounds"]):
@@ -734,26 +744,18 @@ def test_cache_throughput(benchmark):
             )
         rows.extend(series)
         curves[name] = series
-        write_series(
-            f"cache_{name}",
-            series,
-            columns=(
-                "round",
-                "phase",
-                "uncached_kops",
-                "cached_kops",
-                "hit_rate",
-                "uncached_reads",
-                "cached_reads",
-                "negative_hits",
-            ),
-        )
+        write_series(f"cache_{name}", series, columns=cache_columns)
     emit(
         f"Cache: cold-vs-warm rounds, {CACHE_PROBES // 1000}k scalar probes "
         f"+ {CACHE_GROW // 1000}k inserts/round, pool={CACHE_BLOCKS} blocks",
         rows,
     )
     benchmark.extra_info["cache_rows"] = rows
+    # Stashed so `make plots` rebuilds plots/cache_*.dat from the record.
+    benchmark.extra_info["series"] = {
+        f"cache_{name}": series_payload(series, columns=cache_columns)
+        for name, series in curves.items()
+    }
 
     for name, series in curves.items():
         warm = max(r["cached_kops"] for r in series[-CACHE_WARM_ROUNDS:])

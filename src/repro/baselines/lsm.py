@@ -152,7 +152,7 @@ class LSMTree(ExternalDictionary):
         Routed through :meth:`Disk.read_records` — charge-identical to
         per-block ``read`` (one bulk charge, same pending RMW block) and
         scan-resistant on a cached disk: compaction reads count hits and
-        misses but never install frames, so a merge cannot flush the
+        misses but never admit blocks, so a merge cannot flush the
         pool.
         """
         return self.ctx.disk.read_records(run.block_ids)

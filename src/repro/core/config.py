@@ -40,8 +40,9 @@ class StorageConfig:
         logical table over (1 = unsharded).
     cache_blocks:
         Per-shard :class:`~repro.em.cache.BufferPool` capacity in
-        blocks (0 = uncached).  The third I/O-policy axis: cache hits
-        are served uncharged, and every cached run satisfies
+        blocks (0 = uncached).  The third I/O-policy axis: the pool is
+        an LRU of block ids, cache hits are answered uncharged from the
+        block store, and every cached run satisfies
         ``hits + misses == uncached charged reads`` while producing
         bit-identical results and layouts.
     """

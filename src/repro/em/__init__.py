@@ -10,7 +10,9 @@ Public surface:
   counter bookkeeping every ledger type shares.
 * :class:`~repro.em.memory.MemoryBudget` — the ``m``-word memory.
 * :class:`~repro.em.cache.BufferPool`, :class:`~repro.em.cache.CachedDisk`
-  — the caching policy axis (``cache_blocks=`` on :func:`make_context`).
+  — the caching policy axis (``cache_blocks=`` on :func:`make_context`):
+  an LRU of resident block ids whose hits the disk answers, uncharged,
+  from the block store.
 * :class:`~repro.em.backends.StorageBackend` and friends — pluggable
   block stores behind the disk (``"mapping"`` / ``"arena"``).
 """

@@ -56,10 +56,11 @@ class Disk:
     """An unbounded array of ``b``-word blocks with I/O accounting.
 
     ``cache`` is the caching policy axis: ``None`` here (uncached —
-    every charged method talks straight to the backend), a
-    :class:`~repro.em.cache.BufferPool` on the
-    :class:`~repro.em.cache.CachedDisk` subclass.  Hot paths branch on
-    ``disk.cache is None`` to keep the uncached configuration
+    every charged method talks straight to the backend), or, on the
+    :class:`~repro.em.cache.CachedDisk` subclass, a
+    :class:`~repro.em.cache.BufferPool` of resident block ids whose
+    reads that subclass answers uncharged from the backend.  Hot paths
+    branch on ``disk.cache is None`` to keep the uncached configuration
     bit-identical to the pre-cache ledgers.
 
     Parameters

@@ -91,7 +91,7 @@ class EMContext:
     ``cache_blocks`` is the third I/O-policy axis (caching, see
     :mod:`repro.em.cache`): ``0`` builds a plain uncached
     :class:`~repro.em.disk.Disk`; a positive value builds a
-    :class:`~repro.em.cache.CachedDisk` whose ``cache_blocks``-frame
+    :class:`~repro.em.cache.CachedDisk` whose ``cache_blocks``-block
     pool is charged against this context's memory budget.  The budget is
     provisioned with ``m + cache_blocks * b`` words — the structures
     still see ``m`` (``ctx.m`` is unchanged), modelling a machine with

@@ -177,7 +177,9 @@ class BackendDecorator(StorageBackend):
     — the data path, each taking the block id first — go through
     :meth:`_intercept`; ``PASSTHROUGH`` members (lifecycle and
     introspection) go straight to ``inner``: faults model the data path,
-    not the allocator.  Subclasses override only the hook.
+    not the allocator.  Subclasses override only the hook.  Cache hits
+    are not intercepted: a :class:`~repro.em.cache.CachedDisk` answers
+    them, uncharged, from the end of the ``inner`` chain.
     """
 
     READ = frozenset({"fetch", "records", "records_arr", "contains_key"})

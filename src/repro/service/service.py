@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -248,7 +248,15 @@ _NO_CACHE = CacheStats()
 
 @dataclass(frozen=True)
 class EpochReport:
-    """Bookkeeping for one executed epoch."""
+    """Bookkeeping for one executed epoch.
+
+    ``seconds`` is the epoch's whole request path inside
+    :meth:`DictionaryService.run`: journal append, shard execution,
+    ledger merge, journal commit and rebalance, with ``build_epochs``
+    charged to the call's first epoch.  A call's reports tile its wall
+    time, so latency samples summed from them miss none of it.
+    (:meth:`DictionaryService.replay_epoch` times execution only.)
+    """
 
     start: int
     stop: int
@@ -492,7 +500,7 @@ class DictionaryService:
         self._trace_base = base
         run_seq = self._run_seq
         self._run_seq += 1
-        t_run = time.perf_counter()
+        t_run = mark = time.perf_counter()
         for epoch in build_epochs(kinds, keys, max_ops=self.epoch_ops):
             idx = self.epochs_run
             if self.journal is not None:
@@ -503,7 +511,7 @@ class DictionaryService:
                     kinds[epoch.start : epoch.stop],
                     keys[epoch.start : epoch.stop],
                 )
-            reports.append(self._run_epoch(epoch, lookup_found, delete_removed))
+            report = self._run_epoch(epoch, lookup_found, delete_removed)
             if self.journal is not None:
                 self.journal.commit(idx, base + epoch.start, base + epoch.stop)
                 self._fold_journal_metrics("commit")
@@ -525,6 +533,9 @@ class DictionaryService:
                 and self.epochs_run % every == 0
             ):
                 self.metrics_listener(self.epochs_run, self._metrics)
+            now = time.perf_counter()
+            reports.append(replace(report, seconds=now - mark))
+            mark = now
         if self.recorder is not None:
             self.recorder.emit(
                 "run",

@@ -222,10 +222,10 @@ def bulk_merge_into(
     exercises both branches.
 
     On a cached disk each fast-path bucket first consults the buffer
-    pool: a resident frame is a **hit** (the read is not charged, the
-    frame is invalidated before the backend-level append so it can
-    never go stale, and the following write cannot combine — no
-    physical read happened), a non-resident one is a charged **miss**
+    pool: a resident block is a **hit** (the read is not charged, its
+    id is dropped from the pool before the backend-level append, and
+    the following write cannot combine — no physical read happened), a
+    non-resident one is a charged **miss**
     that combines exactly like the uncached arithmetic.  Reads avoided
     equal hits counted, preserving the
     ``hits + misses == uncached charged reads`` contract.
@@ -257,7 +257,7 @@ def bulk_merge_into(
         if fresh:
             nfresh += 1
         if cache is not None and cache.is_resident(bid):
-            cache.invalidate(bid, discard=True)
+            cache.invalidate(bid)
             hit_count += 1
             if fresh:
                 hit_fresh += 1
@@ -324,10 +324,9 @@ def bulk_fill_buckets(
             continue
         bid = bkt.primary
         if cache is not None:
-            # Fresh targets are normally never resident; invalidate
-            # defensively so a stale frame can never survive the
-            # backend-level overwrite.
-            cache.invalidate(bid, discard=True)
+            # Fresh targets are normally never resident; drop the id
+            # defensively, as every backend-level mutation must.
+            cache.invalidate(bid)
         backend.replace(bid, items)
         gen[bid] = gen.get(bid, 0) + 1
         written += 1

@@ -93,7 +93,7 @@ def shard_view(
     concurrent shards never race on a shared counter object.
 
     The parent's ``cache_blocks`` axis is inherited: each shard machine
-    gets its **own** buffer pool of that many frames, charged against
+    gets its **own** buffer pool of that many blocks, charged against
     its own memory budget (the context builds a
     :class:`~repro.em.cache.CachedDisk` when the axis is positive).
     """

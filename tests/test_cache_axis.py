@@ -185,13 +185,21 @@ def test_cached_run_matches_uncached(name, policy_name):
     assert cached["cache"].hits > 0, "workload never hit the cache"
 
 
-@pytest.mark.parametrize("name", ["buffered", "lsm", "chained"])
-def test_tiny_cache_still_exact(name):
-    """A 2-frame pool thrashes constantly; the contract must survive
-    every eviction path."""
-    uncached = _drive(TABLES[name], cache_blocks=0)
-    cached = _drive(TABLES[name], cache_blocks=2)
-    _assert_contract(uncached, cached, f"{name}/tiny")
+@pytest.mark.parametrize(
+    "name, backend",
+    [
+        pytest.param(name, backend,
+                     id=name if backend == "mapping" else f"{name}-{backend}")
+        for backend in ("mapping", "arena", "durable-arena")
+        for name in ("buffered", "lsm", "chained")
+    ],
+)
+def test_tiny_cache_still_exact(name, backend):
+    """A 2-block pool thrashes constantly; the contract must survive
+    every eviction path, with hits read straight from every store."""
+    uncached = _drive(TABLES[name], cache_blocks=0, backend=backend)
+    cached = _drive(TABLES[name], cache_blocks=2, backend=backend)
+    _assert_contract(uncached, cached, f"{name}/{backend}/tiny")
 
 
 @pytest.mark.parametrize("backend", ["mapping", "arena", "durable-arena"])
@@ -338,9 +346,9 @@ class TestCachedDisk:
     def test_probe_record_set_membership(self):
         disk = self._disk()
         (bid,) = self._fill(disk, 1)
-        assert disk.probe_record(bid, bid)  # miss: charges, installs
+        assert disk.probe_record(bid, bid)  # miss: charges, admits the id
         assert disk.stats.reads == 1
-        assert disk.probe_record(bid, bid)  # hit via the membership set
+        assert disk.probe_record(bid, bid)  # hit: answered by the store, uncharged
         assert not disk.probe_record(bid, 12345)  # resident: still free
         assert disk.stats.reads == 1
         assert disk.cache.stats.hits == 2
@@ -351,20 +359,48 @@ class TestCachedDisk:
         disk.read(bid)  # install
         assert not disk.remove_record(bid, 777)  # absent: free, no write
         assert (disk.stats.reads, disk.stats.writes) == (1, 0)
-        assert disk.remove_record(bid, bid)  # present: drops frame, writes
+        assert disk.remove_record(bid, bid)  # present: drops the id, writes
         assert disk.stats.writes == 1 and disk.stats.reads == 1
         assert not disk.cache.is_resident(bid)
         assert disk.read(bid).records() == []
+
+    def test_load_hit_is_an_uncharged_loan_that_drops_the_id(self):
+        disk = self._disk()
+        (bid,) = self._fill(disk, 1)
+        disk.read(bid)  # admit
+        blk = disk.load(bid)
+        assert disk.cache.stats.hits == 1 and disk.stats.reads == 1
+        assert not disk.cache.is_resident(bid)  # out on loan
+        blk.append(5)
+        disk.store(bid)
+        assert disk.read(bid).records() == [bid, 5]  # a miss: new contents
+        assert disk.cache.stats.misses == 2
+
+    def test_every_mutator_drops_the_id(self):
+        disk = self._disk(cache_blocks=8)
+        ids = self._fill(disk, 5)
+        mutators = [
+            lambda bid: disk.append_uncharged(bid, [7]),
+            lambda bid: disk.replace_uncharged(bid, [7]),
+            disk.drain_uncharged,
+            disk.stage,
+            disk.free,
+        ]
+        for bid, mutate in zip(ids, mutators):
+            disk.read(bid)
+            mutate(bid)
+            assert not disk.cache.is_resident(bid)
+        assert disk.cache.resident() == []
 
     def test_bulk_reads_never_install(self):
         """Scan resistance: one cold sweep must not flush the pool."""
         disk = self._disk(cache_blocks=2)
         ids = self._fill(disk, 6)
-        disk.read(ids[0])  # hot frame
+        disk.read(ids[0])  # hot block
         out = disk.read_records(ids)
         assert sorted(out) == sorted(ids)
         assert disk.cache.resident() == [ids[0]]  # sweep installed nothing
-        assert disk.cache.stats.hits == 1  # the hot frame served its block
+        assert disk.cache.stats.hits == 1  # the hot block was a hit
         assert disk.cache.stats.misses == 6  # read miss + 5 sweep misses
         assert disk.stats.reads == 6
 

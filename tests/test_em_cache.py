@@ -1,10 +1,11 @@
-"""Unit tests for the LRU BufferPool."""
+"""Unit tests for the id-only LRU BufferPool and its hit/miss counting."""
 
 import pytest
 
 from repro.em import (
     Block,
     BufferPool,
+    CachedDisk,
     ConfigurationError,
     Disk,
     MemoryBudget,
@@ -28,104 +29,92 @@ def fill(disk, n):
     return ids
 
 
+def access(pool, block_id):
+    """One access the way CachedDisk makes it: a miss admits the id."""
+    if pool.touch(block_id):
+        return True
+    pool.admit(block_id)
+    return False
+
+
+def cached(capacity):
+    disk = CachedDisk(4, cache_blocks=capacity, stats=IOStats(policy=STRICT_POLICY))
+    return disk, fill(disk, 3)
+
+
 class TestHitsAndMisses:
-    def test_first_get_misses_then_hits(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[0])
-        assert pool.stats.misses == 1
-        assert pool.stats.hits == 1
+    def test_first_get_misses_then_hits(self):
+        disk, ids = cached(2)
+        disk.read(ids[0])
+        disk.read(ids[0])
+        assert disk.cache.stats.misses == 1
+        assert disk.cache.stats.hits == 1
         assert disk.stats.reads == 1  # only the miss touched disk
 
-    def test_hit_charges_no_io(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.get(ids[0])
+    def test_hit_charges_no_io(self):
+        disk, ids = cached(2)
+        disk.read(ids[0])
         before = disk.stats.total
-        pool.get(ids[0])
+        assert disk.read(ids[0]).records() == [ids[0]]
+        assert disk.probe_record(ids[0], ids[0])
         assert disk.stats.total == before
 
-    def test_hit_rate(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[0])
-        pool.get(ids[0])
-        assert pool.stats.hit_rate == pytest.approx(2 / 3)
+    def test_hit_rate(self):
+        disk, ids = cached(2)
+        for _ in range(3):
+            disk.read(ids[0])
+        assert disk.cache.stats.hit_rate == pytest.approx(2 / 3)
 
 
 class TestEvictionAndWriteback:
     def test_lru_eviction_order(self, disk):
         ids = fill(disk, 3)
         pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[1])
-        pool.get(ids[2])  # evicts ids[0]
+        for bid in ids:  # the third admission evicts ids[0]
+            access(pool, bid)
         assert not pool.is_resident(ids[0])
         assert pool.is_resident(ids[1])
         assert pool.is_resident(ids[2])
+        assert pool.stats.evictions == 1
 
     def test_get_refreshes_lru_position(self, disk):
         ids = fill(disk, 3)
         pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        pool.get(ids[1])
-        pool.get(ids[0])  # refresh 0; 1 is now LRU
-        pool.get(ids[2])
+        access(pool, ids[0])
+        access(pool, ids[1])
+        assert access(pool, ids[0])  # refresh 0; 1 is now LRU
+        access(pool, ids[2])
         assert pool.is_resident(ids[0])
         assert not pool.is_resident(ids[1])
 
-    def test_clean_eviction_no_writeback(self, disk):
-        ids = fill(disk, 3)
-        pool = BufferPool(disk, 2)
+    def test_clean_eviction_no_writeback(self):
+        disk, ids = cached(2)
         for bid in ids:
-            pool.get(bid)
-        assert pool.stats.writebacks == 0
+            disk.read(bid)
+        assert disk.cache.stats.evictions == 1
+        assert disk.cache.stats.writebacks == 0
         assert disk.stats.writes == 0
 
-    def test_dirty_eviction_writes_back(self, disk):
+    def test_admitting_a_resident_id_refreshes_it(self, disk):
         ids = fill(disk, 3)
         pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[99]))
-        pool.get(ids[1])
-        pool.get(ids[2])  # evicts dirty ids[0]
-        assert pool.stats.writebacks == 1
-        assert disk.peek(ids[0]).records() == [99]
+        pool.admit(ids[0])
+        pool.admit(ids[1])
+        pool.admit(ids[0])  # already resident: no eviction, now MRU
+        assert pool.resident() == [ids[1], ids[0]]
+        pool.admit(ids[2])
+        assert pool.resident() == [ids[0], ids[2]]
+        assert pool.stats.evictions == 1
 
-    def test_flush_writes_all_dirty(self, disk):
+    def test_invalidate_drops_only_that_id(self, disk):
         ids = fill(disk, 2)
-        pool = BufferPool(disk, 4)
-        pool.put(ids[0], Block(4, data=[10]))
-        pool.put(ids[1], Block(4, data=[20]))
-        written = pool.flush()
-        assert written == 2
-        assert disk.peek(ids[0]).records() == [10]
-        assert disk.peek(ids[1]).records() == [20]
-        assert pool.flush() == 0  # idempotent
-
-    def test_mark_dirty_requires_residency(self, disk):
-        ids = fill(disk, 1)
         pool = BufferPool(disk, 2)
-        with pytest.raises(KeyError):
-            pool.mark_dirty(ids[0])
-        pool.get(ids[0])
-        pool.mark_dirty(ids[0])
-        assert pool.flush() == 1
-
-    def test_invalidate_discard_drops_changes(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[77]))
-        pool.invalidate(ids[0], discard=True)
-        assert disk.peek(ids[0]).records() == [ids[0]]
-
-    def test_invalidate_default_writes_back(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[77]))
+        access(pool, ids[0])
+        access(pool, ids[1])
         pool.invalidate(ids[0])
-        assert disk.peek(ids[0]).records() == [77]
+        pool.invalidate(ids[0])  # absent: a no-op
+        assert pool.resident() == [ids[1]]
+        assert pool.stats.evictions == 0
 
 
 class TestBudgetIntegration:
@@ -149,46 +138,14 @@ def test_resident_order_is_lru_first(disk):
     ids = fill(disk, 3)
     pool = BufferPool(disk, 3)
     for bid in ids:
-        pool.get(bid)
-    pool.get(ids[0])
+        access(pool, bid)
+    access(pool, ids[0])
     assert pool.resident() == [ids[1], ids[2], ids[0]]
     assert len(pool) == 3
 
 
-class TestCopySemantics:
-    def test_get_returns_private_copy(self, disk):
-        """Mutating a ``get()`` result must never reach the frame: the
-        frame would silently diverge from its dirty tracking."""
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        blk = pool.get(ids[0])
-        blk.append(424242)
-        again = pool.get(ids[0])
-        assert again.records() == [ids[0]]  # aliasing regression
-        pool.invalidate(ids[0])  # clean frame: nothing written back
-        assert disk.peek(ids[0]).records() == [ids[0]]
-
-    def test_get_copy_false_loans_live_frame(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.get(ids[0])
-        loan = pool.get(ids[0], copy=False)
-        assert loan is pool.get(ids[0], copy=False)
-
-    def test_put_then_get_does_not_alias_the_frame(self, disk):
-        ids = fill(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.put(ids[0], Block(4, data=[7]))
-        got = pool.get(ids[0])
-        got.append(8)
-        pool.invalidate(ids[0])  # writes back the dirty frame
-        assert disk.peek(ids[0]).records() == [7]
-
-
 class TestStatsLifecycle:
     def test_negative_hits_outside_hit_rate(self):
-        from repro.em.cache import CacheStats
-
         s = CacheStats(hits=3, misses=1, negative_hits=10)
         assert s.accesses == 4
         assert s.hit_rate == pytest.approx(0.75)
@@ -230,55 +187,23 @@ class TestStatsLifecycle:
         agg.absorb(d)
         assert agg == s
 
-    def test_clear_preserves_stats(self, disk):
-        ids = fill(disk, 2)
-        pool = BufferPool(disk, 4)
-        pool.get(ids[0])
-        pool.get(ids[0])
-        pool.get(ids[1])
-        pool.clear()
-        assert len(pool) == 0
-        assert pool.stats.hits == 1 and pool.stats.misses == 2
+    def test_clear_preserves_stats(self):
+        disk, ids = cached(4)
+        disk.read(ids[0])
+        disk.read(ids[0])
+        disk.read(ids[1])
+        disk.cache.clear()
+        assert len(disk.cache) == 0
+        assert disk.cache.stats.hits == 1 and disk.cache.stats.misses == 2
+        disk.read(ids[0])  # cleared: a miss again
+        assert disk.cache.stats.misses == 3
 
-    def test_close_preserves_stats(self, disk):
-        ids = fill(disk, 1)
+    def test_close_preserves_stats(self):
         budget = MemoryBudget(100)
-        pool = BufferPool(disk, 2, budget=budget, owner="pool")
-        pool.get(ids[0])
-        pool.get(ids[0])
-        pool.close()
+        disk = CachedDisk(4, cache_blocks=2, budget=budget, cache_owner="pool")
+        (bid,) = fill(disk, 1)
+        disk.read(bid)
+        disk.read(bid)
+        disk.cache.close()
         assert budget.charge_of("pool") == 0
-        assert pool.stats.hits == 1 and pool.stats.misses == 1
-
-
-class TestOnEvictHook:
-    def _hooked(self, disk, capacity):
-        pool = BufferPool(disk, capacity)
-        dropped: list[int] = []
-        pool.on_evict = dropped.append
-        return pool, dropped
-
-    def test_fires_on_lru_eviction(self, disk):
-        ids = fill(disk, 3)
-        pool, dropped = self._hooked(disk, 2)
-        for bid in ids:
-            pool.get(bid)
-        assert dropped == [ids[0]]
-        assert pool.stats.evictions == 1
-
-    def test_fires_on_invalidate(self, disk):
-        ids = fill(disk, 1)
-        pool, dropped = self._hooked(disk, 2)
-        pool.get(ids[0])
-        pool.invalidate(ids[0], discard=True)
-        assert dropped == [ids[0]]
-        pool.invalidate(ids[0], discard=True)  # absent: no callback
-        assert dropped == [ids[0]]
-
-    def test_fires_on_clear_for_every_frame(self, disk):
-        ids = fill(disk, 3)
-        pool, dropped = self._hooked(disk, 4)
-        for bid in ids:
-            pool.get(bid)
-        pool.clear()
-        assert sorted(dropped) == sorted(ids)
+        assert disk.cache.stats.hits == 1 and disk.cache.stats.misses == 1

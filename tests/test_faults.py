@@ -34,6 +34,7 @@ from repro.service import (
     FaultSchedule,
     RetryPolicy,
     RetryingBackend,
+    install_fault_stack,
 )
 
 
@@ -227,6 +228,58 @@ class TestServiceFaultNaming:
         with pytest.raises(SimulatedCrash) as exc_info:
             svc.run(kinds, keys)
         assert "shard" not in str(exc_info.value)  # kill -9 has no courtesy
+
+
+class TestCacheHitsBypassFaults:
+    """Cache hits are answered from the undecorated block store: they
+    charge nothing, so they must not tick the fault clock either, or a
+    cached chaos schedule would shift with the pool's residency."""
+
+    def test_hit_paths_leave_the_clock_alone(self):
+        from repro.em import Block, CachedDisk
+
+        clock = FaultClock()
+        disk = CachedDisk(8, cache_blocks=4)
+        disk.backend = FaultInjectingBackend(disk.backend, clock=clock)
+        ids = [disk.allocate() for _ in range(3)]
+        for bid in ids:
+            disk.write(bid, Block(8, data=[bid]))
+            disk.read(bid)  # miss: ticks, admits
+        ticks, hits = clock.ops, disk.cache.stats.hits
+        assert disk.read(ids[0]).records() == [ids[0]]
+        assert disk.probe_record(ids[1], ids[1])
+        assert not disk.probe_record(ids[1], 999)
+        assert not disk.remove_record(ids[2], 999)
+        assert [b.records() for b in disk.scan(ids)] == [[i] for i in ids]
+        assert disk.read_records(ids) == ids
+        assert clock.ops == ticks
+        assert disk.cache.stats.hits == hits + 4 + 2 * len(ids)
+
+    def test_resident_lookups_do_not_tick_a_cached_shard(self):
+        clock = FaultClock()
+        ctx = make_context(b=16, m=128, u=10**12, backend="mapping",
+                           cache_blocks=64, hard_memory=False)
+        svc = DictionaryService(
+            ctx,
+            lambda c: BufferedHashTable(c, MULTIPLY_SHIFT.sample(c.u, seed=7)),
+            shards=2,
+            executor="serial",
+            epoch_ops=64,
+        )
+        install_fault_stack(svc, clock=clock, retry=RetryPolicy())
+        keys = np.arange(1, 2000, dtype=np.uint64)
+        svc.run(np.zeros(len(keys), dtype=np.uint8), keys)  # all inserts
+        hot = keys[::200]
+        lookups = np.ones(len(hot), dtype=np.uint8)
+        warm = clock.ops
+        assert svc.run(lookups, hot).lookup_found.all()  # warms the pools
+        assert clock.ops > warm, "warm-up charged no backend read"
+        ticks, hits = clock.ops, svc.cache_snapshot().hits
+        for _ in range(3):
+            assert svc.run(lookups, hot).lookup_found.all()
+        assert clock.ops == ticks
+        assert svc.cache_snapshot().hits > hits
+        svc.close()
 
 
 class TestCrashingJournal:

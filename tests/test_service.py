@@ -19,6 +19,7 @@ Three guarantees are pinned here:
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -445,6 +446,32 @@ def test_client_reports_mix_and_latencies():
     assert row["migrated_slots"] == 0 and row["imbalance"] >= 0.0
     assert rep.executed_ops == rep.ops
     assert rep.goodput_kops == rep.kops
+
+
+def test_epoch_seconds_tile_the_run_through_the_commit(tmp_path, monkeypatch):
+    """Each epoch's report spans its journal append through commit and
+    rebalance (``build_epochs`` lands on the first), so closed-loop
+    latency samples summed from them cover the whole call."""
+    from repro.service import EpochJournal
+
+    kinds, keys = _mixed_stream(1500, seed=8)
+    ctx = make_context(b=32, m=512, backend="arena", hard_memory=False)
+    with EpochJournal(tmp_path / "epochs.journal", fsync=False) as journal:
+        commit = journal.commit
+
+        def slow_commit(*args, **kwargs):
+            time.sleep(0.02)
+            return commit(*args, **kwargs)
+
+        monkeypatch.setattr(journal, "commit", slow_commit)
+        with DictionaryService(ctx, _buffered, shards=2, epoch_ops=256,
+                               journal=journal) as svc:
+            t0 = time.perf_counter()
+            run = svc.run(kinds, keys)
+            wall = time.perf_counter() - t0
+    assert len(run.epochs) >= 3
+    assert all(e.seconds >= 0.02 for e in run.epochs)
+    assert 0.9 * wall <= run.seconds <= wall
 
 
 def ctx_total(svc):
