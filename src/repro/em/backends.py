@@ -80,6 +80,15 @@ class StorageBackend(abc.ABC):
         self.b = block_size_words
         self.record_words = record_words
 
+    @property
+    def undecorated(self) -> "StorageBackend":
+        """The block store under any decorators: here, the store itself.
+
+        A cached disk answers its hits from it, so the decorators' data
+        path (fault injection, retries) sees only charged accesses.
+        """
+        return self
+
     # -- lifecycle ----------------------------------------------------------
 
     @abc.abstractmethod

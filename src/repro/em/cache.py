@@ -7,7 +7,7 @@ write combining and the mapping/arena/durable-arena storage backends:
 
 * :class:`BufferPool` — an LRU set of block **ids** with hit/miss/
   eviction counters and a memory-budget charge.  It holds no block
-  data;
+  data, only an optional per-id memo for its owner;
 * :class:`CachedDisk` — a :class:`~repro.em.disk.Disk` whose charged hot
   paths (``read``/``write``/``load``/``store`` plus the record-level
   ``probe_record``/``remove_record``/``scan``/``read_records``) consult
@@ -31,11 +31,16 @@ Why ids suffice: writes go through, and every mutating path —
 ``remove_record`` on a hit, and the uncharged bulk mutators — drops the
 id from the pool first.  A resident block is therefore always equal to
 the stored one, so a hit is answered straight from the block store,
-uncharged, and nothing is ever written back.  Hits read the undecorated
-store (the end of the backend decorators' ``inner`` chain), so a
-fault-injecting decorator's clock ticks only for the reads a miss
-charges.  Streaming bulk reads (``scan``/``read_records``) count hits
-and misses but never admit ids, keeping one cold table scan from
+uncharged, and nothing is ever written back.  A record probe hit
+(``probe_record``/``remove_record``) asks the store's ``contains_key``
+until the id has had :data:`INDEX_AFTER_HITS` of them; that hit builds
+a membership set of the block's records, kept as the id's memo in the
+pool until the id leaves, which answers every later one.  So a miss
+costs no copy, and a hot block's hits cost one set lookup each.  Hits
+read the backend's :attr:`~repro.em.backends.StorageBackend.undecorated`
+store, so a fault-injecting decorator's clock ticks only for the reads
+a miss charges.  Streaming bulk reads (``scan``/``read_records``) count
+hits and misses but never admit ids, keeping one cold table scan from
 flushing the pool (scan resistance).
 
 A pool of ``capacity_blocks`` ids is charged ``capacity_blocks * b``
@@ -56,6 +61,14 @@ from .disk import Disk
 from .errors import ConfigurationError, InvalidBlockError
 from .iostats import IOStats, Ledger
 from .memory import MemoryBudget
+
+
+#: The probe hit, counted within one residency of a block, that builds
+#: its membership set; earlier hits ask the store's ``contains_key``.
+#: Building the set costs several store probes, and most residencies
+#: end after a hit or two: on the skewed-reads service benchmark half
+#: get no hit and 4% get 8 or more, but those 4% take 3/4 of the hits.
+INDEX_AFTER_HITS = 8
 
 
 @dataclass
@@ -88,6 +101,12 @@ class CacheStats(Ledger):
 
 class BufferPool:
     """LRU set of resident block ids: residency and counters, no data.
+
+    Each resident id carries one *memo* slot for its owner (``None``
+    until :meth:`remember` fills it; a :class:`CachedDisk` keeps the
+    block's record-membership set there).  A memo leaves with its id —
+    on eviction, :meth:`invalidate` or :meth:`clear` — so it can never
+    outlive the residency that made it valid.
 
     Parameters
     ----------
@@ -124,7 +143,7 @@ class BufferPool:
         self.owner = owner
         if budget is not None:
             budget.charge(owner, capacity_blocks * disk.b)
-        self._ids: OrderedDict[int, None] = OrderedDict()
+        self._ids: OrderedDict[int, object] = OrderedDict()
         self.stats = CacheStats()
 
     def touch(self, block_id: int) -> bool:
@@ -141,11 +160,20 @@ class BufferPool:
     def admit(self, block_id: int) -> None:
         """Make ``block_id`` the most recent id, evicting LRU ids past capacity."""
         ids = self._ids
-        ids[block_id] = None
+        ids.setdefault(block_id, None)
         ids.move_to_end(block_id)
         while len(ids) > self.capacity_blocks:
             ids.popitem(last=False)
             self.stats.evictions += 1
+
+    def memo(self, block_id: int):
+        """The memo of resident ``block_id`` (``None`` if unset or absent)."""
+        return self._ids.get(block_id)
+
+    def remember(self, block_id: int, memo) -> None:
+        """Attach ``memo`` to resident ``block_id`` (no LRU update)."""
+        if block_id in self._ids:
+            self._ids[block_id] = memo
 
     def invalidate(self, block_id: int) -> None:
         """Drop ``block_id`` if resident (before its stored block changes)."""
@@ -189,9 +217,9 @@ class CachedDisk(Disk):
 
     Accounting contract (see module docstring): every read the uncached
     configuration would charge is either charged here (a **miss**, which
-    admits the id) or answered uncharged from the block store (a
-    **hit**), so ``hits + misses`` equals the uncached run's charged
-    reads access for access.  Writes are write-through and charged
+    admits the id) or answered uncharged from the block store or the
+    id's membership memo (a **hit**), so ``hits + misses`` equals the
+    uncached run's charged reads access for access.  Writes are write-through and charged
     exactly as uncached.  A cache hit does *not* update the pending
     read-modify-write block — no physical seek happened — so a store
     after a hit-load charges a full write where the uncached run charged
@@ -221,19 +249,25 @@ class CachedDisk(Disk):
             self, cache_blocks, budget=budget, owner=cache_owner
         )
 
-    @property
-    def backend(self):
-        return self._backend
+    def _holds(self, block_id: int, key: int) -> bool:
+        """Does resident ``block_id`` hold ``key``?  Answers a probe hit.
 
-    @backend.setter
-    def backend(self, backend) -> None:
-        self._backend = backend
-        store = backend
-        while getattr(store, "inner", None) is not None:
-            store = store.inner
-        #: The undecorated block store that answers hits: fault and
-        #: retry decorators see only the accesses a miss charges.
-        self._store = store
+        The id's memo counts its probe hits until the
+        :data:`INDEX_AFTER_HITS`-th builds the membership set that
+        answers every later one.
+        """
+        pool = self.cache
+        memo = pool.memo(block_id)
+        if memo.__class__ is set:
+            return key in memo
+        hits = (memo or 0) + 1
+        store = self.backend.undecorated
+        if hits < INDEX_AFTER_HITS:
+            pool.remember(block_id, hits)
+            return store.contains_key(block_id, key)
+        keys = set(store.records(block_id))
+        pool.remember(block_id, keys)
+        return key in keys
 
     # -- copying I/O ---------------------------------------------------------
 
@@ -241,7 +275,7 @@ class CachedDisk(Disk):
         pool = self.cache
         if pool.touch(block_id):
             pool.stats.hits += 1
-            blk = self._store.fetch(block_id)
+            blk = self.backend.undecorated.fetch(block_id)
             return blk.copy() if copy else blk
         blk = super().read(block_id, copy=copy)
         pool.stats.misses += 1
@@ -277,7 +311,8 @@ class CachedDisk(Disk):
 
     def scan(self, block_ids, visit=None):
         touch = self.cache.touch
-        fetch, hit_fetch = self.backend.fetch, self._store.fetch
+        backend = self.backend
+        fetch, hit_fetch = backend.fetch, backend.undecorated.fetch
         out: list[Block] = []
         missed: list[int] = []
         try:
@@ -297,7 +332,8 @@ class CachedDisk(Disk):
 
     def read_records(self, block_ids):
         touch = self.cache.touch
-        records, hit_records = self.backend.records, self._store.records
+        backend = self.backend
+        records, hit_records = backend.records, backend.undecorated.records
         out: list[int] = []
         missed: list[int] = []
         try:
@@ -324,7 +360,7 @@ class CachedDisk(Disk):
         pool = self.cache
         if pool.touch(block_id):
             pool.stats.hits += 1
-            return self._store.contains_key(block_id, key)
+            return self._holds(block_id, key)
         backend = self.backend
         if block_id not in backend:
             raise InvalidBlockError(f"access to unknown block {block_id}")
@@ -338,7 +374,7 @@ class CachedDisk(Disk):
         pool = self.cache
         if pool.touch(block_id):
             pool.stats.hits += 1
-            if not self._store.contains_key(block_id, key):
+            if not self._holds(block_id, key):
                 return False
             pool.invalidate(block_id)
             backend = self.backend

@@ -179,7 +179,8 @@ class BackendDecorator(StorageBackend):
     introspection) go straight to ``inner``: faults model the data path,
     not the allocator.  Subclasses override only the hook.  Cache hits
     are not intercepted: a :class:`~repro.em.cache.CachedDisk` answers
-    them, uncharged, from the end of the ``inner`` chain.
+    them, uncharged, from :attr:`undecorated`, the end of the ``inner``
+    chain.
     """
 
     READ = frozenset({"fetch", "records", "records_arr", "contains_key"})
@@ -202,6 +203,10 @@ class BackendDecorator(StorageBackend):
     def __init__(self, inner: StorageBackend) -> None:
         super().__init__(inner.b, inner.record_words)
         self.inner = inner
+
+    @property
+    def undecorated(self) -> StorageBackend:
+        return self.inner.undecorated
 
     def _intercept(self, kind: str, name: str, block_id: int, args, kwargs):
         """Run data-path member ``name`` (``kind`` ``"read"``/``"write"``)."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -254,8 +254,8 @@ class EpochReport:
     :meth:`DictionaryService.run`: journal append, shard execution,
     ledger merge, journal commit and rebalance, with ``build_epochs``
     charged to the call's first epoch.  A call's reports tile its wall
-    time, so latency samples summed from them miss none of it.
-    (:meth:`DictionaryService.replay_epoch` times execution only.)
+    time, so latency samples summed from them miss none of it.  For
+    :meth:`DictionaryService.replay_epoch` it is the replay's own path.
     """
 
     start: int
@@ -269,6 +269,18 @@ class EpochReport:
     @property
     def ops(self) -> int:
         return self.stop - self.start
+
+    @classmethod
+    def of(cls, epoch: Epoch, io: int, seconds: float) -> "EpochReport":
+        return cls(
+            start=epoch.start,
+            stop=epoch.stop,
+            inserts=len(epoch.insert_keys),
+            lookups=len(epoch.lookup_keys),
+            deletes=len(epoch.delete_keys),
+            seconds=seconds,
+            io=io,
+        )
 
 
 @dataclass(frozen=True)
@@ -511,7 +523,7 @@ class DictionaryService:
                     kinds[epoch.start : epoch.stop],
                     keys[epoch.start : epoch.stop],
                 )
-            report = self._run_epoch(epoch, lookup_found, delete_removed)
+            io = self._run_epoch(epoch, lookup_found, delete_removed)
             if self.journal is not None:
                 self.journal.commit(idx, base + epoch.start, base + epoch.stop)
                 self._fold_journal_metrics("commit")
@@ -534,7 +546,7 @@ class DictionaryService:
             ):
                 self.metrics_listener(self.epochs_run, self._metrics)
             now = time.perf_counter()
-            reports.append(replace(report, seconds=now - mark))
+            reports.append(EpochReport.of(epoch, io, now - mark))
             mark = now
         if self.recorder is not None:
             self.recorder.emit(
@@ -587,7 +599,8 @@ class DictionaryService:
             delete_keys=keys[delete_pos],
             delete_pos=delete_pos,
         )
-        report = self._run_epoch(
+        t0 = time.perf_counter()
+        io = self._run_epoch(
             epoch, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         )
         self.ops_committed = stop
@@ -597,7 +610,7 @@ class DictionaryService:
         # run bit for bit.
         if self.rebalancer is not None:
             self.rebalancer.observe(self._last_epoch_shard_io, self._epoch_slot_ops)
-        return report
+        return EpochReport.of(epoch, io, time.perf_counter() - t0)
 
     def snapshot(self, path) -> None:
         """Checkpoint the full service state to ``path`` (atomic).
@@ -614,7 +627,13 @@ class DictionaryService:
         epoch: Epoch,
         lookup_found: np.ndarray,
         delete_removed: np.ndarray,
-    ) -> EpochReport:
+    ) -> int:
+        """Execute ``epoch`` on the shards and merge their ledgers.
+
+        Returns the epoch's charged I/O.  Timing is the caller's; with
+        tracing on, the ``epoch`` span's ``wall_ms`` is this execution
+        alone (shard batches plus the ledger merge).
+        """
         t0 = time.perf_counter()
         if self.rebalancer is not None:
             self._epoch_slot_ops = np.zeros(self.directory.slots, dtype=np.int64)
@@ -662,19 +681,12 @@ class DictionaryService:
         io = self._merge_ledgers()
         idx = self.epochs_run
         self.epochs_run += 1
-        report = EpochReport(
-            start=epoch.start,
-            stop=epoch.stop,
-            inserts=len(epoch.insert_keys),
-            lookups=len(epoch.lookup_keys),
-            deletes=len(epoch.delete_keys),
-            seconds=time.perf_counter() - t0,
-            io=io,
-        )
-        self._fold_epoch_metrics(report)
+        self._fold_epoch_metrics(epoch, io)
         if self.recorder is not None:
-            self._emit_epoch_span(report, idx, shard_order, timings)
-        return report
+            self._emit_epoch_span(
+                epoch, io, idx, shard_order, timings, time.perf_counter() - t0
+            )
+        return io
 
     @staticmethod
     def _shard_thunk(
@@ -772,7 +784,7 @@ class DictionaryService:
 
         return timed
 
-    def _fold_epoch_metrics(self, report: EpochReport) -> None:
+    def _fold_epoch_metrics(self, epoch: Epoch, io: int) -> None:
         """Fold one closed epoch into the metrics registry.
 
         Only deterministic quantities: op counts, charged I/O, and the
@@ -781,11 +793,11 @@ class DictionaryService:
         """
         metrics = self._metrics
         metrics.inc("repro_epochs_total")
-        metrics.inc("repro_ops_total", report.inserts, kind="insert")
-        metrics.inc("repro_ops_total", report.lookups, kind="lookup")
-        metrics.inc("repro_ops_total", report.deletes, kind="delete")
-        metrics.observe("repro_epoch_io", report.io)
-        metrics.observe("repro_epoch_ops", report.stop - report.start)
+        metrics.inc("repro_ops_total", len(epoch.insert_keys), kind="insert")
+        metrics.inc("repro_ops_total", len(epoch.lookup_keys), kind="lookup")
+        metrics.inc("repro_ops_total", len(epoch.delete_keys), kind="delete")
+        metrics.observe("repro_epoch_io", io)
+        metrics.observe("repro_epoch_ops", epoch.stop - epoch.start)
         shard_io = self._last_epoch_shard_io
         total = sum(shard_io)
         if total:
@@ -801,10 +813,12 @@ class DictionaryService:
 
     def _emit_epoch_span(
         self,
-        report: EpochReport,
+        epoch: Epoch,
+        io: int,
         idx: int,
         shard_order: list[int],
         timings: list[float] | None,
+        exec_seconds: float,
     ) -> None:
         """One ``epoch`` span (shard batches embedded) + eviction events.
 
@@ -822,14 +836,14 @@ class DictionaryService:
         span = {
             "run": self._run_seq - 1 if self._run_seq else 0,
             "epoch": idx,
-            "start": self._trace_base + report.start,
-            "stop": self._trace_base + report.stop,
-            "ops": report.stop - report.start,
-            "inserts": report.inserts,
-            "lookups": report.lookups,
-            "deletes": report.deletes,
-            "io": report.io,
-            "wall_ms": round(report.seconds * 1e3, 3),
+            "start": self._trace_base + epoch.start,
+            "stop": self._trace_base + epoch.stop,
+            "ops": epoch.stop - epoch.start,
+            "inserts": len(epoch.insert_keys),
+            "lookups": len(epoch.lookup_keys),
+            "deletes": len(epoch.delete_keys),
+            "io": io,
+            "wall_ms": round(exec_seconds * 1e3, 3),
             "shards": shards,
         }
         cache = CacheStats.of(self._last_merge)

@@ -43,6 +43,7 @@ from repro.em import (
     STRICT_POLICY,
     make_context,
 )
+from repro.em.cache import INDEX_AFTER_HITS
 from repro.em.storage import EMContext, ModelParams
 from repro.hashing.family import MULTIPLY_SHIFT
 from repro.tables import (
@@ -391,6 +392,33 @@ class TestCachedDisk:
             mutate(bid)
             assert not disk.cache.is_resident(bid)
         assert disk.cache.resident() == []
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d, bid: d.write(bid, Block(4, data=[bid, 9])),
+            lambda d, bid: d.append_uncharged(bid, [9]),
+            lambda d, bid: d.replace_uncharged(bid, [bid, 9]),
+            lambda d, bid: (d.load(bid).append(9), d.store(bid)),
+            lambda d, bid: (d.remove_record(bid, bid), d.append_uncharged(bid, [bid, 9])),
+        ],
+        ids=["write", "append", "replace", "load-store", "remove-record"],
+    )
+    def test_probe_membership_set_never_outlives_a_mutation(self, mutate):
+        """A hot block's probe hits are answered by a membership set
+        built once; every mutating path must drop it with the id."""
+        disk = self._disk()
+        (bid,) = self._fill(disk, 1)
+        for _ in range(INDEX_AFTER_HITS + 1):
+            assert disk.probe_record(bid, bid)
+            assert not disk.probe_record(bid, 9)
+        assert disk.cache.memo(bid) == {bid}
+        mutate(disk, bid)
+        assert disk.cache.memo(bid) is None
+        for _ in range(INDEX_AFTER_HITS + 1):
+            assert disk.probe_record(bid, 9)
+            assert disk.probe_record(bid, bid)
+        assert disk.cache.memo(bid) == {bid, 9}
 
     def test_bulk_reads_never_install(self):
         """Scan resistance: one cold sweep must not flush the pool."""

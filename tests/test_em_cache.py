@@ -117,6 +117,29 @@ class TestEvictionAndWriteback:
         assert pool.stats.evictions == 0
 
 
+class TestMemo:
+    def test_memo_leaves_with_its_id(self, disk):
+        ids = fill(disk, 3)
+        pool = BufferPool(disk, 2)
+        pool.admit(ids[0])
+        pool.remember(ids[0], "m0")
+        pool.admit(ids[0])  # a refresh keeps the memo
+        assert pool.memo(ids[0]) == "m0"
+        pool.remember(ids[2], "absent")  # not resident: a no-op
+        assert pool.memo(ids[2]) is None and not pool.is_resident(ids[2])
+        pool.invalidate(ids[0])
+        pool.admit(ids[0])
+        assert pool.memo(ids[0]) is None
+        pool.remember(ids[0], "m0")
+        pool.admit(ids[1])
+        pool.admit(ids[2])  # evicts ids[0]
+        pool.admit(ids[0])
+        assert pool.memo(ids[0]) is None
+        pool.remember(ids[0], "m0")
+        pool.clear()
+        assert pool.memo(ids[0]) is None
+
+
 class TestBudgetIntegration:
     def test_frames_charged_to_budget(self, disk):
         budget = MemoryBudget(100)
